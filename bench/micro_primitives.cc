@@ -6,8 +6,10 @@
 // The custom main() additionally emits BENCH_JSON "hotpath" rows comparing
 // the copying checkpoint data path against the zero-copy one (buffer arena,
 // batched AEAD, ByteChain framing) stage by stage at 64 KB and 8 MB of
-// state. These are wall-time figures, so bench_regression holds them with a
-// loose wildcard tolerance rather than the exact-match rule.
+// state, and "asym" rows timing Oakley-2 variable-base modexp, fixed-base
+// generator exponentiation, Schnorr sign and verify in microseconds. These
+// are wall-time figures, so bench_regression holds them with loose wildcard
+// tolerances rather than the exact-match rule.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -113,6 +115,16 @@ void BM_BigNumModExp(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BigNumModExp);
+
+void BM_DhFixedBase(benchmark::State& state) {
+  crypto::Drbg rng(to_bytes("dh"));
+  const auto& g = crypto::DhGroup::oakley2();
+  crypto::BigNum e = crypto::BigNum::from_bytes(rng.generate(128)) % g.q;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(g.g_table.pow(e));
+  }
+}
+BENCHMARK(BM_DhFixedBase);
 
 void BM_SchnorrSignVerify(benchmark::State& state) {
   crypto::Drbg rng(to_bytes("sig"));
@@ -306,10 +318,51 @@ void emit_hotpath_rows() {
   }
 }
 
+// --- Asymmetric crypto rows ------------------------------------------------
+
+// Best-of-15 wall microseconds per operation. The 4x band bench_regression
+// grants these rows absorbs host noise, not a fall back to divmod-based
+// exponentiation (an order of magnitude slower).
+void emit_asym_rows() {
+  constexpr int kAsymReps = 15;
+  crypto::Drbg rng(to_bytes("asym"));
+  const crypto::DhGroup& g = crypto::DhGroup::oakley2();
+  crypto::DhKeyPair a = crypto::dh_generate(rng, g);
+  crypto::DhKeyPair b = crypto::dh_generate(rng, g);
+  crypto::SigKeyPair kp = crypto::sig_keygen(rng, g);
+  Bytes msg = rng.generate(256);
+  Bytes sig = crypto::sig_sign(kp.sk, msg, rng, g);
+  auto wall_us = [&](const std::function<void()>& fn) {
+    return std::max<uint64_t>(1, best_of(kAsymReps, fn) / 1000);
+  };
+  const std::pair<const char*, uint64_t> rows[] = {
+      {"modexp", wall_us([&] {
+         benchmark::DoNotOptimize(b.pub.modexp(a.priv, g.p));
+       })},
+      {"fixed_base", wall_us([&] {
+         benchmark::DoNotOptimize(g.g_table.pow(a.priv));
+       })},
+      {"sign", wall_us([&] {
+         benchmark::DoNotOptimize(crypto::sig_sign(kp.sk, msg, rng, g));
+       })},
+      {"verify", wall_us([&] {
+         MIG_CHECK(crypto::sig_verify(kp.pk, msg, sig, g));
+       })},
+  };
+  for (const auto& [op, us] : rows) {
+    bench::JsonLine("asym")
+        .str("op", op)
+        .str("group", "oakley2")
+        .num("wall_us", us)
+        .emit();
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   emit_hotpath_rows();
+  emit_asym_rows();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -247,16 +247,209 @@ BigNum BigNum::modmul(const BigNum& a, const BigNum& b, const BigNum& m) {
   return (a * b) % m;
 }
 
+// ---- Montgomery exponentiation ------------------------------------------------
+
+namespace {
+
+using Words = std::vector<uint64_t>;
+using u128 = unsigned __int128;
+
+// x as exactly n little-endian 64-bit words (it must fit), and back: the
+// limb format of the Montgomery kernels below.
+Words to_words(const BigNum& x, size_t n) {
+  Bytes be = x.to_bytes_padded(8 * n);
+  Words w(n, 0);
+  for (size_t i = 0; i < be.size(); ++i)
+    w[i / 8] |= uint64_t{be[be.size() - 1 - i]} << (8 * (i % 8));
+  return w;
+}
+
+BigNum from_words(const Words& w) {
+  Bytes be(8 * w.size());
+  for (size_t i = 0; i < be.size(); ++i)
+    be[be.size() - 1 - i] = static_cast<uint8_t>(w[i / 8] >> (8 * (i % 8)));
+  return BigNum::from_bytes(be);
+}
+
+// -m0^-1 mod 2^64 for odd m0. Newton's step x <- x(2 - m0 x) doubles the
+// number of correct low bits, and x = m0 is right to 3 (m0^2 = 1 mod 8), so
+// five steps reach 96 >= 64.
+uint64_t neg_inverse(uint64_t m0) {
+  uint64_t x = m0;
+  for (int i = 0; i < 5; ++i) x *= 2 - m0 * x;
+  return 0 - x;
+}
+
+// An odd modulus m > 1 as the kernels take it, with R = 2^(64n).
+struct MontModulus {
+  explicit MontModulus(const BigNum& modulus)
+      : m(to_words(modulus, (modulus.bit_length() + 63) / 64)),
+        m_inv(neg_inverse(m[0])),
+        r2(to_words(BigNum(1).shifted_left(128 * m.size()) % modulus,
+                    m.size())) {}
+
+  Words m;         // n words
+  uint64_t m_inv;  // -m^-1 mod 2^64
+  Words r2;        // R^2 mod m: one multiplication by it maps x to xR mod m
+};
+
+// 4-bit digit i of e, least significant first.
+unsigned nibble(const BigNum& e, size_t i) {
+  unsigned d = 0;
+  for (unsigned b = 0; b < 4; ++b) d |= unsigned{e.bit(4 * i + b)} << b;
+  return d;
+}
+
+// a < b, both n words.
+bool less(const uint64_t* a, const uint64_t* b, size_t n) {
+  for (size_t i = n; i-- > 0;)
+    if (a[i] != b[i]) return a[i] < b[i];
+  return false;
+}
+
+// Montgomery multiplication modulo an odd m of n 64-bit words, R = 2^(64n).
+class MontMul {
+ public:
+  MontMul(const Words& m, uint64_t m_inv)
+      : m_(m), m_inv_(m_inv), t_(m.size() + 2) {}
+
+  // out = a * b / R mod m for a, b < m (CIOS: each outer step adds a * b[i],
+  // then the multiple of m that clears the low word, and drops that word).
+  // out may alias a or b.
+  void operator()(uint64_t* out, const uint64_t* a, const uint64_t* b) {
+    const size_t n = m_.size();
+    uint64_t* t = t_.data();
+    std::fill(t_.begin(), t_.end(), 0);
+    for (size_t i = 0; i < n; ++i) {
+      uint64_t c = 0;
+      for (size_t j = 0; j < n; ++j) {
+        u128 s = u128{a[j]} * b[i] + t[j] + c;
+        t[j] = static_cast<uint64_t>(s);
+        c = static_cast<uint64_t>(s >> 64);
+      }
+      u128 s = u128{t[n]} + c;
+      t[n] = static_cast<uint64_t>(s);
+      t[n + 1] = static_cast<uint64_t>(s >> 64);
+
+      uint64_t u = t[0] * m_inv_;
+      c = static_cast<uint64_t>((u128{u} * m_[0] + t[0]) >> 64);
+      for (size_t j = 1; j < n; ++j) {
+        s = u128{u} * m_[j] + t[j] + c;
+        t[j - 1] = static_cast<uint64_t>(s);
+        c = static_cast<uint64_t>(s >> 64);
+      }
+      s = u128{t[n]} + c;
+      t[n - 1] = static_cast<uint64_t>(s);
+      t[n] = t[n + 1] + static_cast<uint64_t>(s >> 64);
+    }
+    // t < 2m, so one conditional subtraction reduces it.
+    if (t[n] == 0 && less(t, m_.data(), n)) {
+      std::copy(t, t + n, out);
+      return;
+    }
+    uint64_t borrow = 0;
+    for (size_t i = 0; i < n; ++i) {
+      u128 d = u128{t[i]} - m_[i] - borrow;
+      out[i] = static_cast<uint64_t>(d);
+      borrow = static_cast<uint64_t>(d >> 64) & 1;
+    }
+  }
+
+ private:
+  const Words& m_;
+  uint64_t m_inv_;
+  Words t_;
+};
+
+}  // namespace
+
 BigNum BigNum::modexp(const BigNum& e, const BigNum& m) const {
   MIG_CHECK(!m.is_zero());
+  if (m == BigNum(1)) return BigNum();
   BigNum base = *this % m;
-  BigNum result(1);
-  size_t bits = e.bit_length();
-  for (size_t i = bits; i-- > 0;) {
-    result = modmul(result, result, m);
-    if (e.bit(i)) result = modmul(result, base, m);
+  if (!m.is_odd()) {
+    BigNum result(1);
+    for (size_t i = e.bit_length(); i-- > 0;) {
+      result = modmul(result, result, m);
+      if (e.bit(i)) result = modmul(result, base, m);
+    }
+    return result;
   }
-  return result;
+
+  // Odd m: Montgomery form x -> xR mod m, fixed 4-bit window over a table
+  // of base^d R mod m for d < 16.
+  const MontModulus mod(m);
+  const size_t n = mod.m.size();
+  MontMul mul(mod.m, mod.m_inv);
+  const Words one = to_words(BigNum(1), n);
+  Words table(16 * n);
+  mul(&table[0], one.data(), mod.r2.data());
+  const Words b = to_words(base, n);
+  mul(&table[n], b.data(), mod.r2.data());
+  for (size_t d = 2; d < 16; ++d)
+    mul(&table[d * n], &table[(d - 1) * n], &table[n]);
+
+  Words acc(table.begin(), table.begin() + n);
+  const size_t digits = (e.bit_length() + 3) / 4;
+  for (size_t i = digits; i-- > 0;) {
+    if (i + 1 < digits)
+      for (int k = 0; k < 4; ++k) mul(acc.data(), acc.data(), acc.data());
+    if (unsigned d = nibble(e, i)) mul(acc.data(), acc.data(), &table[d * n]);
+  }
+  mul(acc.data(), acc.data(), one.data());
+  return from_words(acc);
+}
+
+FixedBaseTable::FixedBaseTable(const BigNum& base, const BigNum& m,
+                               size_t max_exp_bits)
+    : base_(base), m_(m), digits_((max_exp_bits + 3) / 4) {
+  MIG_CHECK(m.is_odd() && BigNum(1) < m);
+  const MontModulus mod(m);
+  const size_t n = mod.m.size();
+  mod_ = mod.m;
+  m_inv_ = mod.m_inv;
+  MontMul mul(mod_, m_inv_);
+  const Words b = to_words(base % m, n);
+  // Row i holds base^(16^i) R mod m: row 0 from the base, each next row
+  // four squarings of the last.
+  table_.resize(digits_ * n);
+  mul(table_.data(), b.data(), mod.r2.data());
+  for (size_t i = 1; i < digits_; ++i) {
+    uint64_t* row = &table_[i * n];
+    mul(row, row - n, row - n);
+    for (int k = 0; k < 3; ++k) mul(row, row, row);
+  }
+}
+
+BigNum FixedBaseTable::pow(const BigNum& e) const {
+  if (e.bit_length() > 4 * digits_) return base_.modexp(e, m_);
+  // Yao: with e = sum d_i 16^i, base^e = prod_{j=15..1} B_j where B_j is
+  // the product of the rows whose digit is >= j. B grows one row at a time
+  // as j falls, and A picks up B once per j.
+  const size_t n = mod_.size();
+  std::vector<uint8_t> digit(digits_);
+  for (size_t i = 0; i < digits_; ++i) digit[i] = nibble(e, i);
+  MontMul mul(mod_, m_inv_);
+  const Words one = to_words(BigNum(1), n);
+  Words a, b;  // empty = 1
+  for (unsigned j = 15; j >= 1; --j) {
+    for (size_t i = 0; i < digits_; ++i) {
+      if (digit[i] != j) continue;
+      const uint64_t* row = &table_[i * n];
+      if (b.empty())
+        b.assign(row, row + n);
+      else
+        mul(b.data(), b.data(), row);
+    }
+    if (b.empty()) continue;
+    if (a.empty())
+      a = b;
+    else
+      mul(a.data(), a.data(), b.data());
+  }
+  if (a.empty()) return BigNum(1);
+  mul(a.data(), a.data(), one.data());
+  return from_words(a);
 }
 
 }  // namespace mig::crypto

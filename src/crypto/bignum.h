@@ -1,7 +1,13 @@
 // Minimal arbitrary-precision unsigned integers: exactly what finite-field
 // Diffie–Hellman and Schnorr signatures need (add/sub/mul/divmod/modexp),
-// nothing more. 32-bit limbs, little-endian, schoolbook algorithms — clarity
-// over speed; the cost model supplies the virtual-time price of crypto.
+// nothing more. Values are stored as little-endian 32-bit limbs and the
+// general arithmetic is schoolbook (Knuth D for division). Modular
+// exponentiation, the one operation hot enough to matter in wall-clock
+// terms, runs on 64-bit limbs: Montgomery CIOS multiplication with a fixed
+// 4-bit window for odd moduli, plus FixedBaseTable for bases that never
+// change (the group generators). Results are exact, so the choice of
+// algorithm never shows in a value; the cost model, not this code, supplies
+// the virtual-time price of crypto.
 #pragma once
 
 #include <cstdint>
@@ -52,7 +58,8 @@ class BigNum {
   // (quotient, remainder); divisor must be nonzero.
   static std::pair<BigNum, BigNum> divmod(const BigNum& a, const BigNum& b);
 
-  // this^e mod m, square-and-multiply. m must be nonzero.
+  // this^e mod m. m must be nonzero. Odd moduli take the Montgomery path;
+  // even ones a square-and-multiply loop over divmod.
   BigNum modexp(const BigNum& e, const BigNum& m) const;
 
   // (a * b) mod m.
@@ -63,6 +70,27 @@ class BigNum {
   void trim();
 
   std::vector<uint32_t> limbs_;  // little-endian; no trailing zero limbs
+};
+
+// base^e mod m for one fixed base and odd modulus m > 1, from precomputed
+// powers base^(16^i), i < ceil(max_exp_bits / 4), in Montgomery form
+// (Yao's method: one multiply per nonzero 4-bit digit plus 15, no
+// squarings). Exponents wider than max_exp_bits fall back to
+// base.modexp(e, m); either way the result equals base.modexp(e, m).
+class FixedBaseTable {
+ public:
+  FixedBaseTable() = default;
+  FixedBaseTable(const BigNum& base, const BigNum& m, size_t max_exp_bits);
+
+  BigNum pow(const BigNum& e) const;
+
+ private:
+  BigNum base_;
+  BigNum m_;
+  std::vector<uint64_t> mod_;    // m as 64-bit words
+  uint64_t m_inv_ = 0;           // -m^-1 mod 2^64
+  size_t digits_ = 0;            // table rows
+  std::vector<uint64_t> table_;  // digits_ rows of mod_.size() words
 };
 
 }  // namespace mig::crypto

@@ -20,6 +20,12 @@ BigNum random_exponent(Drbg& rng, const DhGroup& group) {
     if (BigNum(2) <= x) return x;
   }
 }
+
+// 0, 1, p-1 and anything >= p: not a group element, or one of order at most
+// 2, which pins g^(ab) or pk^e to a value an attacker can predict.
+bool degenerate(const BigNum& x, const DhGroup& group) {
+  return x <= BigNum(1) || !(x < group.p - BigNum(1));
+}
 }  // namespace
 
 const DhGroup& DhGroup::oakley2() {
@@ -30,6 +36,8 @@ const DhGroup& DhGroup::oakley2() {
     g.q = (g.p - BigNum(1)) / BigNum(2);
     g.gq = BigNum(4);
     g.byte_len = 128;
+    g.g_table = FixedBaseTable(g.g, g.p, 8 * g.byte_len);
+    g.gq_table = FixedBaseTable(g.gq, g.p, 8 * g.byte_len);
     return g;
   }();
   return group;
@@ -38,7 +46,7 @@ const DhGroup& DhGroup::oakley2() {
 DhKeyPair dh_generate(Drbg& rng, const DhGroup& group) {
   DhKeyPair kp;
   kp.priv = random_exponent(rng, group);
-  kp.pub = group.g.modexp(kp.priv, group.p);
+  kp.pub = group.g_table.pow(kp.priv);
   return kp;
 }
 
@@ -46,10 +54,8 @@ Result<Bytes> dh_shared(const BigNum& priv, const BigNum& peer_pub,
                         const DhGroup& group) {
   // Reject degenerate public values a MITM could inject to force a known
   // shared secret.
-  BigNum p_minus_1 = group.p - BigNum(1);
-  if (peer_pub <= BigNum(1) || !(peer_pub < p_minus_1)) {
+  if (degenerate(peer_pub, group))
     return Error(ErrorCode::kAuthFailure, "degenerate DH public value");
-  }
   BigNum shared = peer_pub.modexp(priv, group.p);
   return shared.to_bytes_padded(group.byte_len);
 }
@@ -57,7 +63,7 @@ Result<Bytes> dh_shared(const BigNum& priv, const BigNum& peer_pub,
 SigKeyPair sig_keygen(Drbg& rng, const DhGroup& group) {
   SigKeyPair kp;
   kp.sk = random_exponent(rng, group);
-  kp.pk = group.gq.modexp(kp.sk, group.p);
+  kp.pk = group.gq_table.pow(kp.sk);
   return kp;
 }
 
@@ -73,7 +79,7 @@ BigNum challenge(const BigNum& r, ByteSpan message, const DhGroup& group) {
 Bytes sig_sign(const BigNum& sk, ByteSpan message, Drbg& rng,
                const DhGroup& group) {
   BigNum k = random_exponent(rng, group);
-  BigNum r = group.gq.modexp(k, group.p);
+  BigNum r = group.gq_table.pow(k);
   BigNum e = challenge(r, message, group);
   BigNum s = (k + BigNum::modmul(e, sk, group.q)) % group.q;
   Writer w;
@@ -84,6 +90,9 @@ Bytes sig_sign(const BigNum& sk, ByteSpan message, Drbg& rng,
 
 bool sig_verify(const BigNum& pk, ByteSpan message, ByteSpan signature,
                 const DhGroup& group) {
+  // With pk = 1, r = gq^s verifies for every s; with pk = p-1, whenever e
+  // is even. No honest key takes either value: gq has odd prime order q.
+  if (degenerate(pk, group)) return false;
   Reader rd(signature);
   Bytes r_bytes = rd.bytes();
   Bytes s_bytes = rd.bytes();
@@ -92,7 +101,7 @@ bool sig_verify(const BigNum& pk, ByteSpan message, ByteSpan signature,
   BigNum s = BigNum::from_bytes(s_bytes);
   if (r.is_zero() || !(r < group.p) || !(s < group.q)) return false;
   BigNum e = challenge(r, message, group);
-  BigNum lhs = group.gq.modexp(s, group.p);
+  BigNum lhs = group.gq_table.pow(s);
   BigNum rhs = BigNum::modmul(r, pk.modexp(e, group.p), group.p);
   return lhs == rhs;
 }

@@ -7,6 +7,13 @@
 // enclave's platform key signs attestation quotes. DH supplies the former,
 // Schnorr the latter two. Schnorr works in the prime-order subgroup of
 // squares (order q = (p-1)/2), generator 4.
+//
+// Most exponentiations raise a generator (key generation, signing, the
+// gq^s side of verification), so the group carries a FixedBaseTable for
+// each generator, built once with the group; only dh_shared and the pk^e
+// side of verification pay for a variable-base BigNum::modexp. Every value is
+// the one plain modexp would give, and the cost model charges the
+// dh_*_ns / sig_*_ns virtual time however fast the host computes it.
 #pragma once
 
 #include "crypto/bignum.h"
@@ -22,6 +29,8 @@ struct DhGroup {
   BigNum q;  // (p-1)/2, prime order of the subgroup of squares
   BigNum gq; // generator of the squares subgroup (4)
   size_t byte_len;  // serialized element width
+  FixedBaseTable g_table;   // g^e mod p, for e up to 8 * byte_len bits
+  FixedBaseTable gq_table;  // gq^e mod p, likewise
 
   static const DhGroup& oakley2();
 };
@@ -51,6 +60,8 @@ SigKeyPair sig_keygen(Drbg& rng, const DhGroup& group = DhGroup::oakley2());
 Bytes sig_sign(const BigNum& sk, ByteSpan message, Drbg& rng,
                const DhGroup& group = DhGroup::oakley2());
 
+// False for a malformed signature and for a degenerate public key (pk <= 1
+// or pk >= p-1), under which anyone could forge.
 bool sig_verify(const BigNum& pk, ByteSpan message, ByteSpan signature,
                 const DhGroup& group = DhGroup::oakley2());
 

@@ -10,6 +10,7 @@
 #include "crypto/hmac.h"
 #include "crypto/sha256.h"
 #include "sim/rng.h"
+#include "util/serde.h"
 
 namespace mig::crypto {
 namespace {
@@ -88,6 +89,10 @@ TEST(BigNumEdge, ZeroAndOneIdentities) {
   BigNum m(97);
   EXPECT_EQ(BigNum(5).modexp(zero, m), one);
   EXPECT_EQ(zero.modexp(BigNum(3), m), zero);
+  // Anything mod 1 is 0, x^0 included.
+  EXPECT_EQ(BigNum(5).modexp(zero, one), zero);
+  EXPECT_EQ(zero.modexp(zero, one), zero);
+  EXPECT_EQ(BigNum(5).modexp(BigNum(3), one), zero);
 }
 
 TEST(BigNumEdge, PaddedSerializationWidth) {
@@ -128,6 +133,38 @@ TEST(SchnorrEdge, EmptyAndHugeMessages) {
   Bytes sig2 = sig_sign(kp.sk, huge, rng);
   EXPECT_TRUE(sig_verify(kp.pk, huge, sig2));
   EXPECT_FALSE(sig_verify(kp.pk, empty, sig2));
+}
+
+// SgxHardware::einit passes sig_verify the signer key of an untrusted
+// SIGSTRUCT. Under pk = 1 (or p+1) the pair (r = gq^s, s) verifies for
+// every s, and under pk = p-1 whenever the challenge is even; no honest key
+// takes any of these values, so all of them must be refused.
+TEST(SchnorrEdge, RejectsDegeneratePublicKeys) {
+  const DhGroup& g = DhGroup::oakley2();
+  Bytes msg = to_bytes("SIGSTRUCT enclave hash");
+  auto forge = [&](uint64_t s, bool* even_challenge) {
+    Bytes r = g.gq.modexp(BigNum(s), g.p).to_bytes_padded(g.byte_len);
+    Bytes input = r;
+    append(input, msg);
+    Digest d = Sha256::hash(input);
+    *even_challenge = !(BigNum::from_bytes(d) % g.q).is_odd();
+    Writer w;
+    w.bytes(r);
+    w.bytes(BigNum(s).to_bytes());
+    return w.take();
+  };
+  int even = 0;
+  for (uint64_t s = 2; s < 10; ++s) {
+    bool even_challenge = false;
+    Bytes sig = forge(s, &even_challenge);
+    EXPECT_FALSE(sig_verify(BigNum(1), msg, sig)) << s;
+    EXPECT_FALSE(sig_verify(g.p + BigNum(1), msg, sig)) << s;
+    EXPECT_FALSE(sig_verify(g.p - BigNum(1), msg, sig)) << s;
+    EXPECT_FALSE(sig_verify(BigNum(), msg, sig)) << s;
+    EXPECT_FALSE(sig_verify(g.p, msg, sig)) << s;
+    even += even_challenge;
+  }
+  EXPECT_GT(even, 0);  // the p-1 case was really exercised
 }
 
 TEST(AeadEdge, EmptySealedAndHostileHeaders) {

@@ -224,6 +224,10 @@ struct MatrixCase {
   Survivor survivor;
 };
 
+// Without a printer gtest dumps the struct's raw bytes, pointers included,
+// into each test's listed name — and ASLR makes those differ on every run.
+void PrintTo(const MatrixCase& mc, std::ostream* os) { *os << mc.name; }
+
 class FaultMatrix : public ::testing::TestWithParam<MatrixCase> {};
 
 TEST_P(FaultMatrix, TerminalStateIsExact) {

@@ -3,17 +3,16 @@
 // deterministic executor's scheduling overhead. These measure WALL time of
 // the implementations themselves (the figure benches report virtual time).
 //
-// The custom main() additionally emits BENCH_JSON "hotpath" rows comparing
-// the copying checkpoint data path against the zero-copy one (buffer arena,
-// batched AEAD, ByteChain framing) stage by stage at 64 KB and 8 MB of
-// state, and "asym" rows timing Oakley-2 variable-base modexp, fixed-base
-// generator exponentiation, Schnorr sign and verify in microseconds. These
-// are wall-time figures, so bench_regression holds them with loose wildcard
-// tolerances rather than the exact-match rule.
+// The custom main() additionally emits BENCH_JSON "hotpath" rows timing the
+// checkpoint data path's dominant per-byte cost, chunk sealing, per chunk
+// versus batched at 64 KB and 8 MB of state, and "asym" rows timing Oakley-2
+// variable-base modexp, fixed-base generator exponentiation, Schnorr sign
+// and verify in microseconds. These are wall-time figures, so
+// bench_regression holds them with loose wildcard tolerances rather than the
+// exact-match rule.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
-#include <span>
 
 #include "bench_common.h"
 #include "crypto/aead.h"
@@ -23,10 +22,7 @@
 #include "crypto/drbg.h"
 #include "crypto/hmac.h"
 #include "crypto/sha256.h"
-#include "sdk/chunk_wire.h"
 #include "sim/executor.h"
-#include "util/buffer_pool.h"
-#include "util/iovec.h"
 
 namespace {
 
@@ -152,7 +148,7 @@ void BM_ExecutorContextSwitch(benchmark::State& state) {
 }
 BENCHMARK(BM_ExecutorContextSwitch)->Unit(benchmark::kMillisecond);
 
-// --- Zero-copy hotpath rows ------------------------------------------------
+// --- Seal hotpath rows ------------------------------------------------------
 
 // Best-of-N wall time of fn(), in nanoseconds. Best-of damps scheduler noise
 // the way --benchmark_repetitions would, without the harness overhead.
@@ -169,152 +165,45 @@ uint64_t best_of(int reps, const std::function<void()>& fn) {
   return best;
 }
 
-struct StagePair {
-  uint64_t copy_ns;
-  uint64_t zerocopy_ns;
-};
-
 constexpr size_t kHotChunk = 16 * 1024;
 constexpr int kHotReps = 5;
 
-std::vector<ByteSpan> chunk_spans(const Bytes& state) {
-  std::vector<ByteSpan> spans;
-  for (size_t off = 0; off < state.size(); off += kHotChunk)
-    spans.push_back(ByteSpan(state).subspan(
-        off, std::min(kHotChunk, state.size() - off)));
-  return spans;
-}
-
-// Stage 1 — dump: staging each chunk into a freshly allocated buffer vs
-// recycling one arena buffer (what the control engine's page pool does).
-StagePair hot_dump(const Bytes& state) {
-  auto spans = chunk_spans(state);
-  StagePair out;
-  out.copy_ns = best_of(kHotReps, [&] {
-    for (ByteSpan s : spans) {
-      Bytes buf(s.begin(), s.end());
-      benchmark::DoNotOptimize(buf.data());
-    }
-  });
-  util::BufferPool pool(kHotChunk, 1);
-  out.zerocopy_ns = best_of(kHotReps, [&] {
-    for (ByteSpan s : spans) {
-      util::BufferPool::Handle h = pool.acquire();
-      std::copy(s.begin(), s.end(), h->begin());
-      benchmark::DoNotOptimize(h->data());
-    }
-  });
-  return out;
-}
-
-// Stage 2 — seal: one seal_chunk() call per chunk vs one seal_batch() call
-// over the run (shared HKDF-Extract, cipher scratch reused).
-StagePair hot_seal(const Bytes& state, const Bytes& key) {
-  auto spans = chunk_spans(state);
-  StagePair out;
-  out.copy_ns = best_of(kHotReps, [&] {
-    crypto::ChunkSealer sealer(crypto::CipherAlg::kChaCha20, key);
-    for (size_t i = 0; i < spans.size(); ++i) {
-      auto sealed = sealer.seal_chunk(i, spans[i]);
-      MIG_CHECK(sealed.ok());
-      benchmark::DoNotOptimize(sealed->data());
-    }
-  });
-  out.zerocopy_ns = best_of(kHotReps, [&] {
-    crypto::ChunkSealer sealer(crypto::CipherAlg::kChaCha20, key);
-    auto sealed = sealer.seal_batch(0, spans);
-    MIG_CHECK(sealed.ok());
-    benchmark::DoNotOptimize(sealed->data());
-  });
-  return out;
-}
-
-// Stage 3 — frame: materializing every CHNK frame into its own buffer vs
-// building a ByteChain whose payload segments just reference the sealed
-// chunks (the copy is deferred to the single gather-send).
-StagePair hot_frame(const std::vector<Bytes>& sealed) {
-  StagePair out;
-  out.copy_ns = best_of(kHotReps, [&] {
-    for (size_t i = 0; i < sealed.size(); ++i) {
-      Bytes f = sdk::encode_chunk_frame(i, sealed[i]);
-      benchmark::DoNotOptimize(f.data());
-    }
-  });
-  out.zerocopy_ns = best_of(kHotReps, [&] {
-    util::ByteChain chain;
-    for (size_t i = 0; i < sealed.size(); ++i)
-      sdk::chain_chunk_frame(chain, i, sealed[i]);
-    benchmark::DoNotOptimize(chain.size());
-  });
-  return out;
-}
-
-// Stage 4 — send: assembling the final MGC2 blob by copying every sealed
-// chunk (encode path) vs one exact-reserve flatten of the chain into a
-// reused buffer.
-StagePair hot_send(const std::vector<Bytes>& sealed, uint64_t total_bytes,
-                   ByteSpan root) {
-  sdk::ChunkedHeader h;
-  h.alg = crypto::CipherAlg::kChaCha20;
-  h.chunk_bytes = kHotChunk;
-  h.chunk_count = sealed.size();
-  h.total_bytes = total_bytes;
-  StagePair out;
-  out.copy_ns = best_of(kHotReps, [&] {
-    Bytes blob = sdk::encode_chunked_checkpoint(h, sealed, root);
-    benchmark::DoNotOptimize(blob.data());
-  });
-  std::vector<ByteSpan> spans(sealed.begin(), sealed.end());
-  Bytes wire;
-  out.zerocopy_ns = best_of(kHotReps, [&] {
-    util::ByteChain chain;
-    sdk::chain_chunked_checkpoint(chain, h, spans, root);
-    wire.clear();
-    chain.flatten_into(wire);
-    benchmark::DoNotOptimize(wire.data());
-  });
-  return out;
-}
-
+// One seal_chunk() call per chunk vs one seal_batch() call over the run
+// (shared HKDF-Extract, cipher scratch reused), in wall ns per plaintext
+// byte x100. The columns keep their historical names so the rows stay
+// comparable with bench/BENCH_BASELINE.json: `copy_*` is the per-chunk path
+// and `zerocopy_*` the batched one.
 void emit_hotpath_rows() {
   for (uint64_t state_kb : {64ull, 8192ull}) {
     const uint64_t state_bytes = state_kb * 1024;
     Bytes key = crypto::Drbg(to_bytes("hotpath-key")).generate(32);
     Bytes state = crypto::Drbg(to_bytes("hotpath-state")).generate(state_bytes);
+    std::vector<ByteSpan> spans;
+    for (size_t off = 0; off < state.size(); off += kHotChunk)
+      spans.push_back(ByteSpan(state).subspan(
+          off, std::min(kHotChunk, state.size() - off)));
 
-    crypto::ChunkSealer sealer(crypto::CipherAlg::kChaCha20, key);
-    auto spans = chunk_spans(state);
-    auto sealed = sealer.seal_batch(0, spans);
-    MIG_CHECK(sealed.ok());
-    auto root = sealer.integrity_root();
-    MIG_CHECK(root.ok());
-    uint64_t sealed_bytes = 0;
-    for (const Bytes& s : *sealed) sealed_bytes += s.size();
-
-    struct Named {
-      const char* stage;
-      StagePair p;
-      uint64_t bytes;  // denominator: plaintext for dump/seal, wire for rest
-    };
-    const Named rows[] = {
-        {"dump", hot_dump(state), state_bytes},
-        {"seal", hot_seal(state, key), state_bytes},
-        {"frame", hot_frame(*sealed), sealed_bytes},
-        {"send", hot_send(*sealed, state_bytes, *root), sealed_bytes},
-    };
-    for (const Named& row : rows) {
-      // Floor at 1: a sub-0.01 ns/byte stage (chain building) must not emit
-      // 0, which the regression gate treats as exact even under a tolerance.
-      bench::JsonLine("hotpath")
-          .str("stage", row.stage)
-          .num("state_kb", state_kb)
-          .num("chunk_kb", kHotChunk / 1024)
-          .num("copy_ns_per_byte_x100",
-               std::max<uint64_t>(1, row.p.copy_ns * 100 / row.bytes))
-          .num("zerocopy_ns_per_byte_x100",
-               std::max<uint64_t>(1, row.p.zerocopy_ns * 100 / row.bytes))
-          .emit();
-    }
+    uint64_t per_chunk_ns = best_of(kHotReps, [&] {
+      crypto::ChunkSealer sealer(crypto::CipherAlg::kChaCha20, key);
+      for (size_t i = 0; i < spans.size(); ++i) {
+        auto sealed = sealer.seal_chunk(i, spans[i]);
+        MIG_CHECK(sealed.ok());
+        benchmark::DoNotOptimize(sealed->data());
+      }
+    });
+    uint64_t batched_ns = best_of(kHotReps, [&] {
+      crypto::ChunkSealer sealer(crypto::CipherAlg::kChaCha20, key);
+      auto sealed = sealer.seal_batch(0, spans);
+      MIG_CHECK(sealed.ok());
+      benchmark::DoNotOptimize(sealed->data());
+    });
+    bench::JsonLine("hotpath")
+        .str("stage", "seal")
+        .num("state_kb", state_kb)
+        .num("chunk_kb", kHotChunk / 1024)
+        .num("copy_ns_per_byte_x100", per_chunk_ns * 100 / state_bytes)
+        .num("zerocopy_ns_per_byte_x100", batched_ns * 100 / state_bytes)
+        .emit();
   }
 }
 

@@ -30,10 +30,6 @@ void put_magic(Writer& w, const char (&magic)[4]) {
   for (char c : magic) w.u8(static_cast<uint8_t>(c));
 }
 
-void put_magic(util::ByteChain& c, const char (&magic)[4]) {
-  for (char m : magic) c.u8(static_cast<uint8_t>(m));
-}
-
 bool valid_alg(uint8_t alg) {
   return alg >= static_cast<uint8_t>(crypto::CipherAlg::kRc4) &&
          alg <= static_cast<uint8_t>(crypto::CipherAlg::kChaCha20);
@@ -44,13 +40,6 @@ void put_header(Writer& w, const ChunkedHeader& h) {
   w.u64(h.chunk_bytes);
   w.u64(h.chunk_count);
   w.u64(h.total_bytes);
-}
-
-void put_header(util::ByteChain& c, const ChunkedHeader& h) {
-  c.u8(static_cast<uint8_t>(h.alg));
-  c.u64(h.chunk_bytes);
-  c.u64(h.chunk_count);
-  c.u64(h.total_bytes);
 }
 
 // Reads the header fields (after the magic) with sanity limits; flips the
@@ -74,27 +63,24 @@ Result<ChunkedHeader> read_header(Reader& r) {
 
 bool is_chunked_checkpoint(ByteSpan blob) { return has_magic(blob, kBlobMagic); }
 
-void chain_chunked_checkpoint(util::ByteChain& c, const ChunkedHeader& header,
-                              std::span<const ByteSpan> sealed_chunks,
-                              ByteSpan root) {
-  MIG_CHECK(header.chunk_count == sealed_chunks.size());
-  MIG_CHECK(root.size() == 32);
-  put_magic(c, kBlobMagic);
-  put_header(c, header);
-  for (uint64_t i = 0; i < sealed_chunks.size(); ++i) {
-    c.u64(i);
-    c.bytes(sealed_chunks[i]);
-  }
-  c.raw_inline(root);
-}
-
 Bytes encode_chunked_checkpoint(const ChunkedHeader& header,
                                 const std::vector<Bytes>& sealed_chunks,
                                 ByteSpan root) {
-  std::vector<ByteSpan> spans(sealed_chunks.begin(), sealed_chunks.end());
-  util::ByteChain c;
-  chain_chunked_checkpoint(c, header, spans, root);
-  return c.flatten();
+  MIG_CHECK(header.chunk_count == sealed_chunks.size());
+  MIG_CHECK(root.size() == 32);
+  // The blob carries every sealed byte of the checkpoint: size it once.
+  size_t size = 4 + (1 + 3 * 8) + 32;  // magic, header, root
+  for (const Bytes& sc : sealed_chunks) size += 8 + 4 + sc.size();
+  Writer w;
+  w.reserve(size);
+  put_magic(w, kBlobMagic);
+  put_header(w, header);
+  for (uint64_t i = 0; i < sealed_chunks.size(); ++i) {
+    w.u64(i);
+    w.bytes(sealed_chunks[i]);
+  }
+  w.raw(root);
+  return w.take();
 }
 
 Result<ParsedChunked> parse_chunked_checkpoint(ByteSpan blob) {
@@ -117,30 +103,22 @@ Result<ParsedChunked> parse_chunked_checkpoint(ByteSpan blob) {
   return out;
 }
 
-void chain_chunk_frame(util::ByteChain& c, uint64_t index, ByteSpan sealed) {
-  put_magic(c, kChunkMagic);
-  c.u64(index);
-  c.bytes(sealed);
-}
-
 Bytes encode_chunk_frame(uint64_t index, ByteSpan sealed) {
-  util::ByteChain c;
-  chain_chunk_frame(c, index, sealed);
-  return c.flatten();
-}
-
-void chain_end_frame(util::ByteChain& c, const ChunkedHeader& header,
-                     ByteSpan root) {
-  MIG_CHECK(root.size() == 32);
-  put_magic(c, kEndMagic);
-  put_header(c, header);
-  c.raw_inline(root);
+  Writer w;
+  w.reserve(4 + 8 + 4 + sealed.size());
+  put_magic(w, kChunkMagic);
+  w.u64(index);
+  w.bytes(sealed);
+  return w.take();
 }
 
 Bytes encode_end_frame(const ChunkedHeader& header, ByteSpan root) {
-  util::ByteChain c;
-  chain_end_frame(c, header, root);
-  return c.flatten();
+  MIG_CHECK(root.size() == 32);
+  Writer w;
+  put_magic(w, kEndMagic);
+  put_header(w, header);
+  w.raw(root);
+  return w.take();
 }
 
 Result<Bytes> receive_chunked_checkpoint(sim::ThreadCtx& ctx,
@@ -233,28 +211,30 @@ bool is_delta_checkpoint(ByteSpan blob) {
   return has_magic(blob, kDeltaBoxMagic);
 }
 
-void chain_delta_segment(util::ByteChain& c, const DeltaSegment& seg) {
+Bytes encode_delta_segment(const DeltaSegment& seg) {
   MIG_CHECK(seg.chain.size() == 32);
   MIG_CHECK(seg.final_segment || seg.trailer.empty());
-  put_magic(c, kDeltaSegMagic);
-  c.u8(static_cast<uint8_t>(seg.alg));
-  c.u64(seg.index);
-  c.u8(seg.final_segment ? 1 : 0);
-  c.u64(seg.records.size());
+  // A baseline segment carries every sealed page of the enclave: size it
+  // once (magic, header, trailer, chain, then the records).
+  size_t size = 4 + (1 + 8 + 1 + 8) + (4 + seg.trailer.size()) + 32;
+  for (const DeltaRecord& rec : seg.records)
+    size += 8 + 8 + 1 + 4 + rec.payload.size();
+  Writer w;
+  w.reserve(size);
+  put_magic(w, kDeltaSegMagic);
+  w.u8(static_cast<uint8_t>(seg.alg));
+  w.u64(seg.index);
+  w.u8(seg.final_segment ? 1 : 0);
+  w.u64(seg.records.size());
   for (const DeltaRecord& rec : seg.records) {
-    c.u64(rec.page);
-    c.u64(rec.version);
-    c.u8(static_cast<uint8_t>(rec.kind));
-    c.bytes(rec.payload);
+    w.u64(rec.page);
+    w.u64(rec.version);
+    w.u8(static_cast<uint8_t>(rec.kind));
+    w.bytes(rec.payload);
   }
-  c.bytes(seg.trailer);
-  c.raw_inline(seg.chain);
-}
-
-Bytes encode_delta_segment(const DeltaSegment& seg) {
-  util::ByteChain c;
-  chain_delta_segment(c, seg);
-  return c.flatten();
+  w.bytes(seg.trailer);
+  w.raw(seg.chain);
+  return w.take();
 }
 
 Result<DeltaSegment> parse_delta_segment(ByteSpan blob) {
@@ -361,26 +341,27 @@ Bytes encode_page_request(const PageRequest& req) {
   return w.take();
 }
 
-void chain_page_reply(util::ByteChain& c, const PageReply& reply) {
+Bytes encode_page_reply(const PageReply& reply) {
   MIG_CHECK(reply.epoch != 0);
-  put_magic(c, kPageMagic);
-  c.u8(static_cast<uint8_t>(PageFrameKind::kReply));
-  c.u64(reply.epoch);
-  c.u64(reply.first_seq);
-  c.u64(reply.records.size());
+  // A reply carries up to kMaxPageRecords sealed pages: size it once.
+  size_t size = 4 + (1 + 3 * 8);  // magic, header
+  for (const PageReplyRecord& rec : reply.records)
+    size += 8 + 8 + (4 + rec.sealed.size()) + 32;
+  Writer w;
+  w.reserve(size);
+  put_magic(w, kPageMagic);
+  w.u8(static_cast<uint8_t>(PageFrameKind::kReply));
+  w.u64(reply.epoch);
+  w.u64(reply.first_seq);
+  w.u64(reply.records.size());
   for (const PageReplyRecord& rec : reply.records) {
     MIG_CHECK(rec.chain.size() == 32);
-    c.u64(rec.page);
-    c.u64(rec.version);
-    c.bytes(rec.sealed);
-    c.raw_inline(rec.chain);
+    w.u64(rec.page);
+    w.u64(rec.version);
+    w.bytes(rec.sealed);
+    w.raw(rec.chain);
   }
-}
-
-Bytes encode_page_reply(const PageReply& reply) {
-  util::ByteChain c;
-  chain_page_reply(c, reply);
-  return c.flatten();
+  return w.take();
 }
 
 Bytes encode_page_done() {

@@ -28,14 +28,12 @@
 
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <string_view>
 #include <vector>
 
 #include "crypto/aead.h"
 #include "sim/network.h"
 #include "util/bytes.h"
-#include "util/iovec.h"
 #include "util/status.h"
 
 namespace mig::sdk {
@@ -59,21 +57,6 @@ bool is_chunked_checkpoint(ByteSpan blob);
 Bytes encode_chunked_checkpoint(const ChunkedHeader& header,
                                 const std::vector<Bytes>& sealed_chunks,
                                 ByteSpan root);
-
-// ---- zero-copy chain builders ----
-//
-// Appends the same bytes the matching encode_* produces, but as a
-// util::ByteChain: headers go inline, sealed payloads are referenced in
-// place and copied only when the chain is flattened (once, at the gather
-// point). The referenced buffers must outlive the chain. The encode_*
-// functions are implemented as chain + flatten, so the two can never drift;
-// the golden-wire tests pin the bytes themselves.
-void chain_chunk_frame(util::ByteChain& c, uint64_t index, ByteSpan sealed);
-void chain_end_frame(util::ByteChain& c, const ChunkedHeader& header,
-                     ByteSpan root);
-void chain_chunked_checkpoint(util::ByteChain& c, const ChunkedHeader& header,
-                              std::span<const ByteSpan> sealed_chunks,
-                              ByteSpan root);
 
 struct ParsedChunked {
   ChunkedHeader header;
@@ -192,9 +175,6 @@ bool is_delta_segment(ByteSpan blob);
 bool is_delta_checkpoint(ByteSpan blob);
 
 Bytes encode_delta_segment(const DeltaSegment& seg);
-// Zero-copy variant: record payloads and the trailer are referenced, not
-// copied; `seg` must outlive the chain.
-void chain_delta_segment(util::ByteChain& c, const DeltaSegment& seg);
 // Defensive: rejects bad magic/alg/kind, record_count > kMaxDeltaRecords,
 // dup payloads that are not exactly 32 bytes, a non-final segment with a
 // trailer, a short chain, and trailing bytes.
@@ -261,9 +241,6 @@ std::optional<PageFrameKind> page_frame_kind(ByteSpan blob);
 
 Bytes encode_page_request(const PageRequest& req);
 Bytes encode_page_reply(const PageReply& reply);
-// Zero-copy variant: sealed record payloads are referenced, not copied;
-// `reply` must outlive the chain.
-void chain_page_reply(util::ByteChain& c, const PageReply& reply);
 Bytes encode_page_done();
 
 // Defensive: reject bad magic/kind, epoch 0, empty or absurd page lists,

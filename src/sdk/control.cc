@@ -1,7 +1,7 @@
 #include "sdk/control.h"
 
 #include <algorithm>
-#include <bit>
+#include <deque>
 #include <map>
 #include <memory>
 #include <set>
@@ -16,11 +16,8 @@
 #include "obs/trace.h"
 #include "sdk/builder.h"
 #include "sdk/chunk_wire.h"
-#include "util/buffer_pool.h"
 #include "util/check.h"
-#include "util/iovec.h"
 #include "util/serde.h"
-#include "util/spsc_ring.h"
 
 namespace mig::sdk {
 
@@ -167,16 +164,6 @@ class ControlEngine {
   Bytes embedded_quorum_membership_blob() { return config_blob(4); }
 
   void wan_round_trip() { env_->ctx().sleep(2 * env_->cost().wan_latency_ns); }
-
-  // Arena health for the perf dashboards: recycle rate ~1 means the hot
-  // paths run allocation-free in steady state.
-  void publish_pool_metrics() {
-    if (!obs::metrics_enabled()) return;
-    auto& m = obs::metrics();
-    m.set_gauge("pool.page.allocations", page_pool_.allocations());
-    m.set_gauge("pool.page.reuses", page_pool_.reuses());
-    m.set_gauge("pool.page.high_water", page_pool_.high_water());
-  }
 
   // ---- two-phase checkpointing (§IV-B) -------------------------------------
   // Phase one: set the global flag and wait until every worker thread is at
@@ -351,26 +338,27 @@ class ControlEngine {
   // in virtual time:
   //   1. dump      — this thread walks the serialized state batch by batch,
   //                  charging traversal cost, and publishes each dumped batch
-  //                  as a *claim* on a bounded lock-free SPSC ring (one todo
-  //                  ring per worker, round-robin);
+  //                  as a *claim* on a bounded per-worker todo queue
+  //                  (round-robin);
   //   2. seal      — `seal_workers` sim threads (parked TCSs woken into a
-  //                  crypto loop) pop claims from their own ring and
+  //                  crypto loop) pop claims from their own queue and
   //                  batch-seal the chunks (crypto::ChunkSealer::seal_batch:
   //                  cipher setup and subkey HKDF-Extract amortized across
-  //                  the batch), pushing the sealed run onto their done ring;
-  //   3. send      — this thread drains the done rings, reorders runs, and
-  //                  gather-sends each CHNK frame over cmd.chunk_stream the
-  //                  moment its turn comes: the frame header goes inline in a
-  //                  ByteChain, the sealed bytes are referenced in place, and
-  //                  the payload is copied exactly once, into the wire
-  //                  message. send() never blocks the sender — the link
-  //                  itself serializes — so the wire carries chunk k while
-  //                  the workers encrypt chunk k+1.
-  // Stages 1 and 3 interleave on this thread (a claim is only published once
-  // its chunks are dumped), so the bounded rings can never deadlock: the
-  // control thread always drains every done ring before it sleeps.
-  // Per-chunk MACs fold into one integrity root (crypto::ChunkSealer): the
-  // checkpoint is still accepted or rejected as a single unit.
+  //                  the batch), pushing each sealed chunk onto their done
+  //                  queue;
+  //   3. send      — this thread drains the done queues, reorders chunks,
+  //                  and sends each CHNK frame over cmd.chunk_stream the
+  //                  moment its turn comes. send() never blocks the sender —
+  //                  the link itself serializes — so the wire carries chunk k
+  //                  while the workers encrypt chunk k+1.
+  // The executor runs one sim thread at a time, so the queues need no
+  // synchronization; their capacities are the pipeline's backpressure and fix
+  // its schedule. Stages 1 and 3 interleave on this thread (a claim is only
+  // published once its chunks are dumped), so the bounded queues can never
+  // deadlock: the control thread always drains every done queue before it
+  // sleeps. Per-chunk MACs fold into one integrity root
+  // (crypto::ChunkSealer): the checkpoint is still accepted or rejected as a
+  // single unit.
   Bytes seal_plain_chunked(Bytes plain_in, ByteSpan key, ControlCmd& cmd) {
     const sim::CostModel& cost = env_->cost();
     const uint64_t chunk_bytes = cmd.chunk_bytes;
@@ -378,36 +366,40 @@ class ControlEngine {
         std::max<uint64_t>(1, (plain_in.size() + chunk_bytes - 1) / chunk_bytes);
     const uint64_t workers =
         std::clamp<uint64_t>(cmd.seal_workers, 1, chunks);
-    const uint64_t batch_chunks = std::max<uint64_t>(1, cmd.seal_batch_chunks);
+    // Claims never exceed the guided self-scheduling ramp's ceiling (below),
+    // so clamping the host-supplied batch there changes no claim size and
+    // keeps the done-queue capacity arithmetic far from overflow.
+    constexpr uint64_t kMaxClaimShift = 10;
+    const uint64_t batch_chunks = std::clamp<uint64_t>(
+        cmd.seal_batch_chunks, 1, uint64_t{1} << kMaxClaimShift);
 
-    // A claim is a contiguous run of dumped chunks; a sealed run is its
-    // ciphertexts. The todo rings hold a few claims of slack so the dump
-    // stage can run ahead of a slow worker without unbounded buffering; the
-    // done rings hold two full batches of per-chunk results so a worker
-    // never blocks mid-claim on the control thread's drain cadence.
+    // A claim is a contiguous run of dumped chunks. The todo queues hold a
+    // few claims of slack so the dump stage can run ahead of a slow worker
+    // without unbounded buffering; the done queues hold two full batches of
+    // sealed chunks so a worker never blocks mid-claim on the control
+    // thread's drain cadence.
     struct Claim {
       uint64_t first = 0;
       uint64_t count = 0;
     };
     struct SealedRun {
-      uint64_t first = 0;
-      std::vector<Bytes> sealed;
+      uint64_t index = 0;
+      Bytes sealed;
     };
-    static constexpr size_t kTodoSlots = 4;  // claims per worker, power of two
-    const size_t done_slots =
-        std::max<size_t>(4, std::bit_ceil(2 * batch_chunks));
+    static constexpr size_t kTodoSlots = 4;  // claims per worker
+    const size_t done_slots = std::max<size_t>(4, 2 * batch_chunks);
 
     struct Pipeline {
       Bytes plain;
       uint64_t chunk_bytes = 0;
       uint64_t chunks = 0;
       bool dump_done = false;
-      std::vector<std::unique_ptr<util::SpscRing<Claim>>> todo;
-      std::vector<std::unique_ptr<util::SpscRing<SealedRun>>> done;
+      std::vector<std::deque<Claim>> todo;
+      std::vector<std::deque<SealedRun>> done;
       crypto::ChunkSealer sealer;
       sim::Event work_ev;     // control -> workers: claims published / done
-      sim::Event result_ev;   // workers -> control: sealed run available
-      sim::Event drained_ev;  // control -> workers: done-ring space freed
+      sim::Event result_ev;   // workers -> control: sealed chunk available
+      sim::Event drained_ev;  // control -> workers: done-queue space freed
       Pipeline(sim::Executor& ex, crypto::CipherAlg alg, ByteSpan k)
           : sealer(alg, k), work_ev(ex), result_ev(ex), drained_ev(ex) {}
       ByteSpan chunk(uint64_t i) const {
@@ -420,10 +412,8 @@ class ControlEngine {
     p->plain = std::move(plain_in);
     p->chunk_bytes = chunk_bytes;
     p->chunks = chunks;
-    for (uint64_t wi = 0; wi < workers; ++wi) {
-      p->todo.push_back(std::make_unique<util::SpscRing<Claim>>(kTodoSlots));
-      p->done.push_back(std::make_unique<util::SpscRing<SealedRun>>(done_slots));
-    }
+    p->todo.resize(workers);
+    p->done.resize(workers);
     if (obs::metrics_enabled()) {
       auto& m = obs::metrics();
       m.set_gauge("pipeline.depth", workers);
@@ -436,44 +426,47 @@ class ControlEngine {
     for (uint64_t wi = 0; wi < workers; ++wi) {
       env_->work(cost.seal_worker_spawn_ns);
       env_->ctx().executor().spawn(
-          "seal-w" + std::to_string(wi), [p, alg, cm, wi](sim::ThreadCtx& tc) {
+          "seal-w" + std::to_string(wi),
+          [p, alg, cm, wi, done_slots](sim::ThreadCtx& tc) {
             obs::Span<sim::ThreadCtx> span(tc, "pipeline.seal_worker", "sdk");
+            std::deque<Claim>& todo = p->todo[wi];
+            std::deque<SealedRun>& done = p->done[wi];
             std::vector<ByteSpan> spans;
             for (;;) {
-              std::optional<Claim> cl = p->todo[wi]->try_pop();
-              if (!cl) {
+              if (todo.empty()) {
                 if (p->dump_done) return;
                 p->work_ev.reset();
                 p->work_ev.wait(tc);
                 continue;
               }
+              const Claim cl = todo.front();
+              todo.pop_front();
               spans.clear();
-              for (uint64_t k = 0; k < cl->count; ++k)
-                spans.push_back(p->chunk(cl->first + k));
+              for (uint64_t k = 0; k < cl.count; ++k)
+                spans.push_back(p->chunk(cl.first + k));
               uint64_t t0 = tc.now();
               // Cipher/key setup is paid once per batch — the point of
               // batching — while the per-byte crypto cost is untouched.
               tc.work(cm->chunk_setup_ns);
-              auto sealed = p->sealer.seal_batch(cl->first, spans);
+              auto sealed = p->sealer.seal_batch(cl.first, spans);
               MIG_CHECK(sealed.ok());  // claims cover disjoint index runs
               // Chunks finish — and stream onward — one by one as their
               // crypto cost accrues: batching amortizes the setup, it does
               // not hold chunk k hostage to the rest of its batch (coarse
               // hand-off granularity would bubble the wire).
-              for (uint64_t k = 0; k < cl->count; ++k) {
+              for (uint64_t k = 0; k < cl.count; ++k) {
                 tc.work(crypto::cipher_cost_ns(alg, spans[k].size()) +
                         sim::per_byte_x100(cm->sha256_ns_per_byte_x100,
                                            spans[k].size()));
-                SealedRun run{cl->first + k, {}};
-                run.sealed.push_back(std::move((*sealed)[k]));
-                while (!p->done[wi]->try_push(std::move(run))) {
+                while (done.size() >= done_slots) {
                   p->drained_ev.reset();
                   p->drained_ev.wait(tc);
                 }
+                done.push_back(SealedRun{cl.first + k, std::move((*sealed)[k])});
                 p->result_ev.set(tc);
               }
               if (obs::metrics_enabled()) {
-                obs::metrics().add("pipeline.chunks_sealed", cl->count);
+                obs::metrics().add("pipeline.chunks_sealed", cl.count);
                 obs::metrics().observe("pipeline.batch_seal_ns", tc.now() - t0);
               }
             }
@@ -482,50 +475,44 @@ class ControlEngine {
 
     // Interleaved dump + send control loop.
     std::vector<Bytes> sealed(chunks);
-    std::map<uint64_t, std::vector<Bytes>> stash;  // out-of-order sealed runs
+    std::map<uint64_t, Bytes> stash;  // out-of-order sealed chunks
     uint64_t next_dump = 0;
     uint64_t next_batch = 0;  // round-robins batches across workers
     uint64_t next_send = 0;
     while (next_send < chunks) {
       bool progress = false;
-      // Drain every done ring first (frees worker-side ring space even for
-      // out-of-order runs) ...
+      // Drain every done queue first (frees worker-side space even for
+      // out-of-order chunks) ...
       bool any_drained = false;
-      for (uint64_t wi = 0; wi < workers; ++wi) {
-        while (std::optional<SealedRun> run = p->done[wi]->try_pop()) {
-          stash.emplace(run->first, std::move(run->sealed));
-          any_drained = true;
-        }
+      for (std::deque<SealedRun>& done : p->done) {
+        for (SealedRun& run : done)
+          stash.emplace(run.index, std::move(run.sealed));
+        any_drained |= !done.empty();
+        done.clear();
       }
       if (any_drained) {
         p->drained_ev.set(env_->ctx());
         progress = true;
       }
-      // ... then gather-send whatever is now in order: sealed chunks hit the
-      // wire before the control thread's clock advances through more dump
-      // work.
+      // ... then send whatever is now in order: sealed chunks hit the wire
+      // before the control thread's clock advances through more dump work.
       while (!stash.empty() && stash.begin()->first == next_send) {
         obs::Span<sim::ThreadCtx> send_span(env_->ctx(), "pipeline.send", "sdk");
-        auto node = stash.extract(stash.begin());
-        for (Bytes& sc : node.mapped()) {
-          if (cmd.chunk_stream.has_value()) {
-            util::ByteChain frame;
-            chain_chunk_frame(frame, next_send, sc);
-            cmd.chunk_stream->send_gather(env_->ctx(), frame);
-          }
-          sealed[next_send] = std::move(sc);
-          ++next_send;
-        }
+        Bytes sc = std::move(stash.extract(stash.begin()).mapped());
+        if (cmd.chunk_stream.has_value())
+          cmd.chunk_stream->send(env_->ctx(), encode_chunk_frame(next_send, sc));
+        sealed[next_send] = std::move(sc);
+        ++next_send;
         progress = true;
       }
       if (next_send >= chunks) break;
-      // Dump at most ONE claim per pass, respecting the target worker's ring
-      // as backpressure. Publishing claim-by-claim keeps the send stage
-      // interleaved with the dump stage: filling every ring in one burst
+      // Dump at most ONE claim per pass, respecting the target worker's todo
+      // queue as backpressure. Publishing claim-by-claim keeps the send stage
+      // interleaved with the dump stage: filling every queue in one burst
       // would hold completed chunks off the wire for the whole burst.
       if (next_dump < chunks) {
         uint64_t wi = next_batch % workers;
-        if (!p->todo[wi]->full()) {
+        if (p->todo[wi].size() < kTodoSlots) {
           // Guided self-scheduling of claim sizes: single-chunk claims first
           // (consecutive chunks land on different workers, so the in-order
           // send stream fills at the aggregate seal rate while the wire spins
@@ -536,7 +523,7 @@ class ControlEngine {
           uint64_t ramp = next_batch < workers * 4
                               ? uint64_t{1}
                               : uint64_t{1} << std::min<uint64_t>(
-                                    next_batch - workers * 4, 10);
+                                    next_batch - workers * 4, kMaxClaimShift);
           uint64_t taper =
               std::max<uint64_t>(1, (chunks - next_dump) / (workers * 2));
           Claim cl{next_dump,
@@ -549,7 +536,7 @@ class ControlEngine {
                   cost.checkpoint_dump_ns_per_byte_x100,
                   p->chunk(cl.first + k).size()));
           }
-          MIG_CHECK(p->todo[wi]->try_push(cl));
+          p->todo[wi].push_back(cl);
           p->work_ev.set(env_->ctx());
           next_dump += cl.count;
           ++next_batch;
@@ -572,17 +559,9 @@ class ControlEngine {
     h.chunk_bytes = chunk_bytes;
     h.chunk_count = chunks;
     h.total_bytes = p->plain.size();
-    if (cmd.chunk_stream.has_value()) {
-      util::ByteChain end;
-      chain_end_frame(end, h, *root);
-      cmd.chunk_stream->send_gather(env_->ctx(), end);
-    }
-    // Assemble the v2 blob as one chain over the sealed chunks: the only
-    // copy of the ciphertext is into the exactly-reserved output.
-    std::vector<ByteSpan> spans(sealed.begin(), sealed.end());
-    util::ByteChain blob;
-    chain_chunked_checkpoint(blob, h, spans, *root);
-    return blob.flatten();
+    if (cmd.chunk_stream.has_value())
+      cmd.chunk_stream->send(env_->ctx(), encode_end_frame(h, *root));
+    return encode_chunked_checkpoint(h, sealed, *root);
   }
 
   Bytes seal_checkpoint(const Checkpoint& c, ByteSpan key, ControlCmd& cmd) {
@@ -712,10 +691,9 @@ class ControlEngine {
     seg.alg = cmd.cipher;
     seg.index = delta_.next_segment;
     seg.final_segment = final;
-    // One pooled scratch page serves every content read in this dump: the
-    // bytes are hashed/sealed and never escape the loop iteration.
-    util::BufferPool::Handle content_h = page_pool_.acquire();
-    Bytes& content = *content_h;
+    // One scratch page serves every content read in this dump: the bytes
+    // are hashed/sealed and never escape the loop iteration.
+    Bytes content;
     for (uint64_t page : delta_page_list()) {
       ++stats.pages_scanned;
       env_->work(sim::per_byte_x100(cost.delta_scan_ns_per_page_x100, 1));
@@ -792,7 +770,6 @@ class ControlEngine {
     obs::metrics().add("delta.pages_sent", stats.pages_sent);
     obs::metrics().add("delta.pages_zero", stats.pages_zero);
     obs::metrics().add("delta.pages_deduped", stats.pages_deduped);
-    publish_pool_metrics();
     return wire;
   }
 
@@ -1077,10 +1054,9 @@ class ControlEngine {
     PageReply frame;
     frame.epoch = page_serve_.epoch;
     frame.first_seq = page_serve_.next_seq;
-    // Pooled scratch page reused across the whole reply (content is sealed
-    // into rec.sealed; the plaintext never outlives the iteration).
-    util::BufferPool::Handle content_h = page_pool_.acquire();
-    Bytes& content = *content_h;
+    // One scratch page reused across the whole reply (content is sealed into
+    // rec.sealed; the plaintext never outlives the iteration).
+    Bytes content;
     for (uint64_t page : to_serve) {
       uint64_t version = page_serve_.manifest.at(page);
       Status st = env_->try_read_bytes(page * sgx::kPageSize, sgx::kPageSize,
@@ -1108,7 +1084,6 @@ class ControlEngine {
     }
     obs::metrics().add("postcopy.pages_served", frame.records.size());
     obs::metrics().add("postcopy.prefetched", prefetched);
-    publish_pool_metrics();
     span.finish({{"pages", frame.records.size()},
                  {"remaining", page_serve_.manifest.size()}});
     ControlReply reply;
@@ -1614,18 +1589,12 @@ class ControlEngine {
       }
       CtxKind kind = w.true_cssa == 1 ? CtxKind::kSpinEntry
                                       : CtxKind::kSpinHandler;
-      // Build the SSA frame in a pooled scratch page: serialize the context
-      // into the front, zero only the tail — no per-worker page allocation
-      // and no re-zeroing of bytes that are about to be overwritten.
-      util::BufferPool::Handle page_h = page_pool_.acquire();
-      Bytes& page = *page_h;
-      Bytes ctx_blob = serialize_ctx(kind, i);
+      // The SSA frame is the serialized context, zero-padded to a page.
       Writer frame;
-      frame.bytes(ctx_blob);
-      ByteSpan head = frame.data();
-      MIG_CHECK(head.size() <= sgx::kPageSize);
-      std::copy(head.begin(), head.end(), page.begin());
-      std::fill(page.begin() + head.size(), page.end(), 0);
+      frame.bytes(serialize_ctx(kind, i));
+      Bytes page = frame.take();
+      MIG_CHECK(page.size() <= sgx::kPageSize);
+      page.resize(sgx::kPageSize);
       env_->write_bytes(l_->ssa_offset(i) + (w.true_cssa - 1) * sgx::kPageSize,
                         page);
     }
@@ -2107,11 +2076,6 @@ class ControlEngine {
   DeltaState delta_;
   PageServeState page_serve_;
   PageApplyState page_apply_;
-  // Page-size scratch arena shared by the delta dump, the remote-page
-  // service and kFinishRestore. The engine outlives every command, so a
-  // multi-round migration recycles the same few buffers instead of
-  // allocating one per page.
-  util::BufferPool page_pool_{sgx::kPageSize, 8};
   // False only while a chunked prepare captures state: the pipeline charges
   // dump traversal per chunk instead (see charge_page_dump()).
   bool charge_dump_ = true;

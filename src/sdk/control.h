@@ -147,7 +147,8 @@ struct ControlCmd {
   // Chunks a sealing worker claims (and batch-seals) at a time. Cipher/key
   // setup is charged once per batch instead of once per chunk, and the
   // subkey derivation's HKDF-Extract half is shared across the batch; the
-  // wire bytes are unchanged. 1 = the old chunk-at-a-time hand-off.
+  // wire bytes are unchanged. 1 = the old chunk-at-a-time hand-off. The
+  // enclave clamps the value to 1..1024, the largest claim it ever issues.
   uint64_t seal_batch_chunks = 8;
   // When set alongside chunk_bytes, prepare streams each sealed chunk over
   // this end the moment it is ready — the wire carries chunk k while chunk

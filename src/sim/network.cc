@@ -108,15 +108,6 @@ void Pipe::send(ThreadCtx& sender, Bytes message) {
   send_sized(sender, std::move(message), 0);
 }
 
-void Pipe::send_gather(ThreadCtx& sender, const util::ByteChain& chain) {
-  // The chain's segments are materialized exactly once, with an exact-size
-  // reservation; everything downstream (tap, fault hook, queueing) then
-  // behaves exactly as a plain send of the same bytes.
-  Bytes message;
-  chain.flatten_into(message);
-  send_sized(sender, std::move(message), 0);
-}
-
 void Pipe::send_sized(ThreadCtx& sender, Bytes message, uint64_t virtual_bytes) {
   if (tap_) tap_(message);
   FaultDecision fd;

@@ -22,7 +22,6 @@
 #include "sim/cost_model.h"
 #include "sim/executor.h"
 #include "util/bytes.h"
-#include "util/iovec.h"
 
 namespace mig::sim {
 
@@ -102,13 +101,6 @@ class Pipe {
       : cost_(&cost), event_(executor) {}
 
   void send(ThreadCtx& sender, Bytes message);
-
-  // Gather-send: materializes `chain` into one wire message with a single
-  // exact-size reservation and sends it. The scatter-gather data path builds
-  // frames as chains (headers inline, sealed payloads referenced) so this is
-  // the only copy the payload bytes take between sealing and the wire. Taps
-  // and fault hooks see the full contiguous message, exactly as with send().
-  void send_gather(ThreadCtx& sender, const util::ByteChain& chain);
 
   // Sends a small descriptor that *represents* `virtual_bytes` of bulk data
   // (e.g. "here are 240 MB of pre-copy pages"). Transmission time and the
@@ -221,9 +213,6 @@ class Channel {
    public:
     End(Pipe& out, Pipe& in) : out_(&out), in_(&in) {}
     void send(ThreadCtx& ctx, Bytes m) { out_->send(ctx, std::move(m)); }
-    void send_gather(ThreadCtx& ctx, const util::ByteChain& chain) {
-      out_->send_gather(ctx, chain);
-    }
     void send_sized(ThreadCtx& ctx, Bytes m, uint64_t virtual_bytes) {
       out_->send_sized(ctx, std::move(m), virtual_bytes);
     }

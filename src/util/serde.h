@@ -31,6 +31,9 @@ class Writer {
   // Raw bytes with no length prefix (fixed-size fields like digests).
   void raw(ByteSpan b) { append(buf_, b); }
 
+  // Pre-sizes the buffer for a message whose length the caller knows.
+  void reserve(size_t n) { buf_.reserve(n); }
+
   const Bytes& data() const { return buf_; }
   Bytes take() { return std::move(buf_); }
 

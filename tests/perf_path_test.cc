@@ -1,29 +1,16 @@
-// Tests for the zero-copy checkpoint data path (PR 10):
+// Tests for the checkpoint data path's wire bytes and batched crypto:
 //  * golden-wire pins — the v2/v3/v4 wire bytes are frozen by hash, so a
-//    refactor of the encoders (chain builders, batched sealing) can never
-//    silently change what crosses the wire;
-//  * chain-vs-encode equivalence — every chain_* builder flattens to exactly
-//    the bytes of its encode_* counterpart;
+//    refactor of the encoders or of the batched sealer feeding them can
+//    never silently change what crosses the wire;
 //  * seal_batch-vs-seal_chunk and HKDF extract/expand-vs-hkdf equivalence —
-//    the amortized crypto paths are bit-identical to the naive ones;
-//  * SpscRing — wrap-around, full/empty, move-only payloads, and a real
-//    std::thread producer/consumer race (the leg TSan exercises);
-//  * BufferPool — recycle accounting, high-water, take(), free-list cap;
-//  * ByteChain — inline-segment merging, exact sizes, reference semantics.
+//    the amortized crypto paths are bit-identical to the naive ones.
 #include <gtest/gtest.h>
-
-#include <numeric>
-#include <thread>
 
 #include "crypto/aead.h"
 #include "crypto/drbg.h"
 #include "crypto/hmac.h"
 #include "crypto/sha256.h"
 #include "sdk/chunk_wire.h"
-#include "util/buffer_pool.h"
-#include "util/iovec.h"
-#include "util/serde.h"
-#include "util/spsc_ring.h"
 
 namespace mig::sdk {
 namespace {
@@ -34,9 +21,9 @@ std::string hash_hex(ByteSpan b) {
 }
 
 // ---------------------------------------------------------------------------
-// Golden wire bytes. These hashes were captured from the pre-zero-copy
-// encoders; the chain builders (and the batched sealer feeding them) must
-// reproduce them forever. A deliberate wire format change must re-pin them.
+// Golden wire bytes. The encoders (and the batched sealer feeding them) must
+// reproduce these hashes forever. A deliberate wire format change must re-pin
+// them.
 // ---------------------------------------------------------------------------
 
 TEST(PerfPathGoldenWire, V2ChunkedCheckpointBytesArePinned) {
@@ -154,82 +141,6 @@ TEST(PerfPathGoldenWire, V4PageRequestReplyBytesArePinned) {
 }
 
 // ---------------------------------------------------------------------------
-// Chain builders flatten to exactly what the classic encoders produce.
-// ---------------------------------------------------------------------------
-
-TEST(PerfPathChain, ChunkAndEndFramesMatchEncoders) {
-  crypto::Drbg rng(to_bytes("chain-eq"));
-  Bytes sealed = rng.generate(777);
-  util::ByteChain c;
-  chain_chunk_frame(c, 42, sealed);
-  EXPECT_EQ(c.flatten(), encode_chunk_frame(42, sealed));
-  EXPECT_EQ(c.size(), encode_chunk_frame(42, sealed).size());
-
-  ChunkedHeader h;
-  h.alg = crypto::CipherAlg::kRc4;
-  h.chunk_bytes = 4096;
-  h.chunk_count = 9;
-  h.total_bytes = 12345;
-  Bytes root = rng.generate(32);
-  util::ByteChain e;
-  chain_end_frame(e, h, root);
-  EXPECT_EQ(e.flatten(), encode_end_frame(h, root));
-}
-
-TEST(PerfPathChain, ChunkedCheckpointMatchesEncoder) {
-  crypto::Drbg rng(to_bytes("chain-eq"));
-  std::vector<Bytes> sealed;
-  std::vector<ByteSpan> spans;
-  for (int i = 0; i < 5; ++i) sealed.push_back(rng.generate(100 + 31 * i));
-  for (const Bytes& b : sealed) spans.emplace_back(b);
-  ChunkedHeader h;
-  h.alg = crypto::CipherAlg::kChaCha20;
-  h.chunk_bytes = 256;
-  h.chunk_count = sealed.size();
-  h.total_bytes = 1111;
-  Bytes root = rng.generate(32);
-  util::ByteChain c;
-  chain_chunked_checkpoint(c, h, spans, root);
-  EXPECT_EQ(c.flatten(), encode_chunked_checkpoint(h, sealed, root));
-}
-
-TEST(PerfPathChain, DeltaSegmentAndPageReplyMatchEncoders) {
-  crypto::Drbg rng(to_bytes("chain-eq"));
-  DeltaSegment seg;
-  seg.alg = crypto::CipherAlg::kRc4;
-  seg.index = 3;
-  seg.final_segment = true;  // only final segments carry a trailer
-  for (uint64_t r = 0; r < 3; ++r) {
-    DeltaRecord rec;
-    rec.page = r;
-    rec.version = 2 * r + 1;
-    rec.kind = r == 1 ? DeltaRecordKind::kZero : DeltaRecordKind::kData;
-    if (rec.kind == DeltaRecordKind::kData) rec.payload = rng.generate(300);
-    seg.records.push_back(std::move(rec));
-  }
-  seg.trailer = rng.generate(80);
-  seg.chain = rng.generate(32);
-  util::ByteChain c;
-  chain_delta_segment(c, seg);
-  EXPECT_EQ(c.flatten(), encode_delta_segment(seg));
-
-  PageReply reply;
-  reply.epoch = 5;
-  reply.first_seq = 17;
-  for (uint64_t r = 0; r < 2; ++r) {
-    PageReplyRecord rec;
-    rec.page = 30 + r;
-    rec.version = 4;
-    rec.sealed = rng.generate(200);
-    rec.chain = rng.generate(32);
-    reply.records.push_back(std::move(rec));
-  }
-  util::ByteChain pc;
-  chain_page_reply(pc, reply);
-  EXPECT_EQ(pc.flatten(), encode_page_reply(reply));
-}
-
-// ---------------------------------------------------------------------------
 // Batched crypto is bit-identical to the per-chunk path.
 // ---------------------------------------------------------------------------
 
@@ -283,164 +194,6 @@ TEST(PerfPathHkdf, ExtractExpandSplitMatchesOneShot) {
     EXPECT_EQ(crypto::hkdf_expand(prk, info, len),
               crypto::hkdf(salt, ikm, info, len));
   }
-}
-
-// ---------------------------------------------------------------------------
-// SpscRing.
-// ---------------------------------------------------------------------------
-
-TEST(PerfPathSpscRing, FillDrainAndWrapAround) {
-  util::SpscRing<int> ring(4);
-  EXPECT_TRUE(ring.empty());
-  EXPECT_EQ(ring.capacity(), 4u);
-  // Cycle far past capacity so head/tail wrap the index mask repeatedly.
-  int next_push = 0, next_pop = 0;
-  for (int round = 0; round < 10; ++round) {
-    while (ring.try_push(int{next_push})) ++next_push;
-    EXPECT_TRUE(ring.full());
-    EXPECT_EQ(next_push - next_pop, 4);
-    for (int i = 0; i < 3; ++i) {
-      auto v = ring.try_pop();
-      ASSERT_TRUE(v.has_value());
-      EXPECT_EQ(*v, next_pop++);
-    }
-  }
-  while (auto v = ring.try_pop()) EXPECT_EQ(*v, next_pop++);
-  EXPECT_TRUE(ring.empty());
-  EXPECT_FALSE(ring.try_pop().has_value());
-  EXPECT_EQ(next_pop, next_push);
-}
-
-TEST(PerfPathSpscRing, MoveOnlyPayloads) {
-  util::SpscRing<std::unique_ptr<int>> ring(2);
-  EXPECT_TRUE(ring.try_push(std::make_unique<int>(7)));
-  EXPECT_TRUE(ring.try_push(std::make_unique<int>(8)));
-  auto failed = std::make_unique<int>(9);
-  EXPECT_FALSE(ring.try_push(std::move(failed)));
-  EXPECT_NE(failed, nullptr);  // a failed push leaves the value untouched
-  EXPECT_EQ(**ring.try_pop(), 7);
-  EXPECT_EQ(**ring.try_pop(), 8);
-}
-
-// Real concurrent threads (not sim threads): this is the leg the TSan preset
-// exists for — the acquire/release pairs in the ring are load-bearing.
-TEST(PerfPathSpscRing, ConcurrentProducerConsumer) {
-  constexpr uint64_t kItems = 100000;
-  util::SpscRing<uint64_t> ring(64);
-  uint64_t consumed_sum = 0;
-  uint64_t out_of_order = 0;  // FIFO is part of the contract
-  std::thread consumer([&] {
-    uint64_t expect = 0;
-    while (expect < kItems) {
-      if (auto v = ring.try_pop()) {
-        if (*v != expect) ++out_of_order;
-        consumed_sum += *v;
-        ++expect;
-      } else {
-        std::this_thread::yield();  // single-core CI: let the producer run
-      }
-    }
-  });
-  for (uint64_t i = 0; i < kItems; ++i)
-    while (!ring.try_push(uint64_t{i})) std::this_thread::yield();
-  consumer.join();
-  EXPECT_EQ(out_of_order, 0u);
-  EXPECT_EQ(consumed_sum, kItems * (kItems - 1) / 2);
-  EXPECT_TRUE(ring.empty());
-}
-
-// ---------------------------------------------------------------------------
-// BufferPool.
-// ---------------------------------------------------------------------------
-
-TEST(PerfPathBufferPool, RecyclesAndCountsHighWater) {
-  util::BufferPool pool(128, 4);
-  EXPECT_EQ(pool.buf_bytes(), 128u);
-  {
-    auto a = pool.acquire();
-    auto b = pool.acquire();
-    EXPECT_EQ((*a).size(), 128u);
-    EXPECT_EQ(pool.outstanding(), 2u);
-    EXPECT_EQ(pool.high_water(), 2u);
-  }  // both released to the free list
-  EXPECT_EQ(pool.outstanding(), 0u);
-  EXPECT_EQ(pool.allocations(), 2u);
-  EXPECT_EQ(pool.free_count(), 2u);
-  {
-    auto c = pool.acquire();
-    (*c)[0] = 0xab;  // dirty contents are allowed to persist across leases
-    EXPECT_EQ(pool.reuses(), 1u);
-    EXPECT_EQ(pool.allocations(), 2u);
-  }
-  auto d = pool.acquire();
-  EXPECT_EQ((*d).size(), 128u);  // size reset even after a dirty lease
-  EXPECT_EQ(pool.reuses(), 2u);
-  EXPECT_EQ(pool.high_water(), 2u);  // never more than 2 outstanding
-}
-
-TEST(PerfPathBufferPool, TakeForfeitsRecyclingAndCapHolds) {
-  util::BufferPool pool(64, 1);  // free list keeps at most one buffer
-  Bytes kept;
-  {
-    auto a = pool.acquire();
-    auto b = pool.acquire();
-    auto c = pool.acquire();
-    kept = a.take();  // leaves the lease; the buffer will not come back
-    EXPECT_FALSE(a.valid());
-    EXPECT_EQ(pool.outstanding(), 2u);
-  }  // b and c release; the cap of 1 drops one of them
-  EXPECT_EQ(kept.size(), 64u);
-  EXPECT_EQ(pool.free_count(), 1u);
-  EXPECT_EQ(pool.outstanding(), 0u);
-  EXPECT_EQ(pool.allocations(), 3u);
-}
-
-// ---------------------------------------------------------------------------
-// ByteChain.
-// ---------------------------------------------------------------------------
-
-TEST(PerfPathByteChain, InlineWritesMatchWriterAndMergeSegments) {
-  util::ByteChain c;
-  c.u8(0x41);
-  c.u16(0x4243);
-  c.u32(0x11223344);
-  c.u64(0x0102030405060708ull);
-  Writer w;
-  w.u8(0x41);
-  w.u16(0x4243);
-  w.u32(0x11223344);
-  w.u64(0x0102030405060708ull);
-  EXPECT_EQ(c.flatten(), w.take());
-  // Consecutive inline writes coalesce into one segment.
-  EXPECT_EQ(c.segments(), 1u);
-}
-
-TEST(PerfPathByteChain, RefSegmentsAreViewsNotCopies) {
-  Bytes payload = to_bytes("0123456789");
-  util::ByteChain c;
-  c.u32(1);
-  c.ref(payload);
-  c.u32(2);
-  EXPECT_EQ(c.segments(), 3u);
-  EXPECT_EQ(c.size(), 4u + payload.size() + 4u);
-  // A referenced segment sees mutations made before the flatten: the chain
-  // holds a view, not a copy.
-  payload[0] = 'X';
-  Bytes flat = c.flatten();
-  EXPECT_EQ(flat[4], 'X');
-
-  // bytes() is Writer::bytes(): u32 length prefix + payload.
-  util::ByteChain b;
-  b.bytes(payload);
-  Writer wb;
-  wb.bytes(payload);
-  EXPECT_EQ(b.flatten(), wb.take());
-
-  // flatten_into appends after one exact reservation.
-  Bytes out = to_bytes("prefix-");
-  c.flatten_into(out);
-  EXPECT_EQ(out.size(), 7u + c.size());
-  EXPECT_EQ(ByteSpan(out).subspan(7).size(), flat.size());
 }
 
 }  // namespace

@@ -6,7 +6,10 @@
 // handoff).
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "attacks/malicious_os.h"
+#include "crypto/sha256.h"
 #include "guestos/guest_os.h"
 #include "hv/machine.h"
 #include "migration/owner.h"
@@ -205,17 +208,30 @@ TEST(ChunkedCheckpoint, DeterministicWireBytes) {
   ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
   EXPECT_GE(parsed->header.chunk_count, 2u);
   EXPECT_EQ(run1.frames.size(), parsed->header.chunk_count + 1);
+
+  // Pinned across builds, not just across runs: a change to the encoders or
+  // to the pipeline's schedule must not move a byte of the CHNK/CEND stream.
+  Bytes stream;
+  for (const Bytes& f : run1.frames) append(stream, f);
+  crypto::Digest d = crypto::Sha256::hash(stream);
+  EXPECT_EQ(hex_encode(ByteSpan(d)),
+            "618ea64bd0a92a7652ed41b40c570e6db17f187c71d0ec7a400b327eae06c699");
 }
 
 // ---- parallel-seal speedup ----------------------------------------------
 
-// The ISSUE acceptance bar, as a regression test: with 4 sealing workers the
-// checkpoint (prepare) virtual time must be at most half the serial v1 path
-// on the same enclave.
-uint64_t prepare_ns(uint64_t chunk_bytes, uint64_t workers) {
+// One prepare of a ~1 MB-heap enclave in a fresh, identically seeded world:
+// the returned blob and the prepare's virtual duration.
+struct PrepareRun {
+  Bytes blob;
+  uint64_t ns = 0;
+};
+
+PrepareRun run_prepare(uint64_t chunk_bytes, uint64_t workers,
+                       uint64_t batch = 8) {
   PipelineBed bed;
   auto host = bed.make_host(/*heap_pages=*/256);  // ~1 MB heap
-  uint64_t elapsed = 0;
+  PrepareRun out;
   bed.run([&](sim::ThreadCtx& ctx) {
     ASSERT_TRUE(host->create(ctx).ok());
     bed.provision(ctx, *host);
@@ -223,20 +239,48 @@ uint64_t prepare_ns(uint64_t chunk_bytes, uint64_t workers) {
     EnclaveMigrateOptions opts;
     opts.chunk_bytes = chunk_bytes;
     opts.seal_workers = workers;
+    opts.seal_batch_chunks = batch;
     uint64_t t0 = ctx.now();
     auto ckpt = migrator.prepare(ctx, *host, opts);
     ASSERT_TRUE(ckpt.ok()) << ckpt.status().to_string();
-    elapsed = ctx.now() - t0;
+    out.ns = ctx.now() - t0;
+    out.blob = std::move(*ckpt);
   });
-  return elapsed;
+  return out;
 }
 
+// The parallel-seal acceptance bar, as a regression test: with 4 sealing
+// workers the checkpoint (prepare) virtual time must be at most half the
+// serial v1 path on the same enclave.
 TEST(ChunkedCheckpoint, FourWorkersAtMostHalfOfSerial) {
-  uint64_t serial = prepare_ns(/*chunk_bytes=*/0, /*workers=*/1);
-  uint64_t four = prepare_ns(/*chunk_bytes=*/64 * 1024, /*workers=*/4);
+  uint64_t serial = run_prepare(/*chunk_bytes=*/0, /*workers=*/1).ns;
+  uint64_t four = run_prepare(/*chunk_bytes=*/64 * 1024, /*workers=*/4).ns;
   ASSERT_GT(serial, 0u);
   EXPECT_LE(four * 2, serial)
       << "4-worker pipeline took " << four << " ns vs serial " << serial;
+}
+
+// The pipeline's schedule (claim sizes, queue backpressure, send order) is
+// pinned exactly, across builds, at the setup-dominated 4 KB chunk size.
+// bench_regression only holds _ns rows within a tolerance band, so a
+// schedule change could otherwise slip through.
+TEST(ChunkedCheckpoint, PrepareScheduleIsPinned) {
+  EXPECT_EQ(run_prepare(4 * 1024, /*workers=*/4, /*batch=*/1).ns, 4244944u);
+  EXPECT_EQ(run_prepare(4 * 1024, /*workers=*/4, /*batch=*/8).ns, 4172672u);
+}
+
+// seal_batch_chunks arrives from the untrusted host. Any value above the
+// claim-size ceiling must behave exactly like the ceiling itself — no
+// absurd queue sizing, no overflow.
+TEST(ChunkedCheckpoint, HostSealBatchIsClampedToClaimCeiling) {
+  PrepareRun ceiling = run_prepare(4 * 1024, /*workers=*/4, /*batch=*/1024);
+  ASSERT_TRUE(sdk::is_chunked_checkpoint(ceiling.blob));
+  for (uint64_t batch : {uint64_t{1} << 62, (uint64_t{1} << 62) + 1,
+                         std::numeric_limits<uint64_t>::max()}) {
+    PrepareRun huge = run_prepare(4 * 1024, /*workers=*/4, batch);
+    EXPECT_EQ(huge.blob, ceiling.blob) << "batch " << batch;
+    EXPECT_EQ(huge.ns, ceiling.ns) << "batch " << batch;
+  }
 }
 
 // ---- fault between chunk k and k+1 ---------------------------------------

@@ -1,17 +1,141 @@
 #include "sim/executor.h"
 
+#include <cxxabi.h>
+#include <sys/mman.h>
+#include <ucontext.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cstring>
 #include <limits>
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/common_interface_defs.h>
+#endif
+#if defined(__SANITIZE_THREAD__)
+#include <sanitizer/tsan_interface.h>
+#endif
 
 #include "obs/metrics.h"
 
 namespace mig::sim {
 
 namespace {
-// A sim thread's ThreadCtx lives in thread-local storage so ctx methods can
-// find their executor state without plumbing.
-thread_local ThreadCtx* tls_ctx = nullptr;
+
+// A fiber's stack reserve, the same as a default pthread stack. Pages are
+// committed only when touched, so the reserve costs address space, not RSS.
+constexpr size_t kStackBytes = 8u << 20;
+
+// The Itanium C++ ABI keeps the caught-exception stack and the uncaught
+// count per OS thread (`__cxa_eh_globals`). Fibers share one OS thread, so a
+// fiber suspended inside a catch handler (sdk/host.cc sleeps in one) must
+// take its exception state with it, or a `throw;` after the switch would
+// rethrow another fiber's exception. This mirrors libstdc++'s layout.
+struct EhGlobals {
+  void* caught_exceptions = nullptr;
+  unsigned int uncaught_exceptions = 0;
+};
+
+void swap_eh_globals(EhGlobals& save, const EhGlobals& load) {
+  void* live = abi::__cxa_get_globals();
+  std::memcpy(&save, live, sizeof save);
+  std::memcpy(live, &load, sizeof load);
+}
+
 }  // namespace
+
+struct Executor::Fiber {
+  // The scheduler's context: it runs on the stack of the thread that called
+  // run(), and swapcontext() fills it in on the first switch away.
+  Fiber() = default;
+
+  // A sim thread's context: maps its stack (with a guard page below it) and
+  // prepares the first switch to enter fiber_main(t).
+  explicit Fiber(SimThread* t) {
+    guard_bytes = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+    void* base =
+        mmap(nullptr, guard_bytes + kStackBytes, PROT_READ | PROT_WRITE,
+             MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK, -1, 0);
+    MIG_CHECK_MSG(base != MAP_FAILED,
+                  "cannot map a stack for '" << t->name << "'");
+    stack = static_cast<char*>(base);
+    MIG_CHECK(mprotect(stack, guard_bytes, PROT_NONE) == 0);
+    MIG_CHECK(getcontext(&uc) == 0);
+    uc.uc_stack.ss_sp = stack + guard_bytes;
+    uc.uc_stack.ss_size = kStackBytes;
+    uc.uc_link = nullptr;
+    auto bits = reinterpret_cast<uintptr_t>(t);
+    makecontext(&uc, reinterpret_cast<void (*)()>(&Executor::fiber_main), 2,
+                static_cast<uint32_t>(bits >> 32), static_cast<uint32_t>(bits));
+    asan_bottom = stack + guard_bytes;
+    asan_size = kStackBytes;
+#if defined(__SANITIZE_THREAD__)
+    tsan_fiber = __tsan_create_fiber(0);
+#endif
+  }
+
+  Fiber(const Fiber&) = delete;
+  Fiber& operator=(const Fiber&) = delete;
+
+  ~Fiber() {
+    if (stack == nullptr) return;
+#if defined(__SANITIZE_THREAD__)
+    __tsan_destroy_fiber(tsan_fiber);
+#endif
+    munmap(stack, guard_bytes + kStackBytes);
+  }
+
+  // Switches from this, the running context, to `to`. Returns when another
+  // context switches back, which never happens once this fiber has
+  // `finished`. Each side installs the other's exception state, and each
+  // switch is announced to the sanitizers the build uses.
+  void switch_to(Fiber& to, [[maybe_unused]] bool finished = false) {
+    swap_eh_globals(eh, to.eh);
+#if defined(__SANITIZE_ADDRESS__)
+    __sanitizer_start_switch_fiber(finished ? nullptr : &asan_fake_stack,
+                                   to.asan_bottom, to.asan_size);
+#endif
+#if defined(__SANITIZE_THREAD__)
+    if (tsan_fiber == nullptr) tsan_fiber = __tsan_get_current_fiber();
+    __tsan_switch_to_fiber(to.tsan_fiber, 0);
+#endif
+    swapcontext(&uc, &to.uc);
+#if defined(__SANITIZE_ADDRESS__)
+    __sanitizer_finish_switch_fiber(asan_fake_stack, nullptr, nullptr);
+#endif
+  }
+
+  ucontext_t uc{};
+  EhGlobals eh;
+  char* stack = nullptr;  // mapping base (guard page); null for the scheduler
+  size_t guard_bytes = 0;
+  // Sanitizer bookkeeping: ASan's fake stack while switched out and the
+  // stack bounds announced on a switch to this context; TSan's fiber.
+  void* asan_fake_stack = nullptr;
+  const void* asan_bottom = nullptr;
+  size_t asan_size = 0;
+  void* tsan_fiber = nullptr;
+};
+
+void Executor::fiber_main(uint32_t thread_hi, uint32_t thread_lo) noexcept {
+  auto* t = reinterpret_cast<SimThread*>((uintptr_t{thread_hi} << 32) |
+                                         thread_lo);
+  Executor& exec = t->ctx->executor();
+#if defined(__SANITIZE_ADDRESS__)
+  // A new fiber has no fake stack; learn the scheduler's stack bounds.
+  __sanitizer_finish_switch_fiber(nullptr, &exec.scheduler_->asan_bottom,
+                                  &exec.scheduler_->asan_size);
+#endif
+  try {
+    if (!t->kill_requested) t->fn(*t->ctx);
+  } catch (const ThreadKilled&) {
+    // Normal cancellation path.
+  }
+  t->fn = nullptr;
+  t->state = State::kFinished;
+  // Not reached again: the scheduler frees this fiber.
+  t->fiber->switch_to(*exec.scheduler_, /*finished=*/true);
+}
 
 // ---------------------------------------------------------------- ThreadCtx
 
@@ -47,7 +171,9 @@ void Event::set(ThreadCtx& ctx) {
 // ----------------------------------------------------------------- Executor
 
 Executor::Executor(int num_cpus, uint64_t quantum_ns)
-    : cpu_free_(static_cast<size_t>(num_cpus), 0), quantum_ns_(quantum_ns) {
+    : scheduler_(std::make_unique<Fiber>()),
+      cpu_free_(static_cast<size_t>(num_cpus), 0),
+      quantum_ns_(quantum_ns) {
   MIG_CHECK(num_cpus >= 1);
   MIG_CHECK(quantum_ns >= 1);
 }
@@ -65,52 +191,32 @@ const Executor::SimThread& Executor::get(ThreadId id) const {
 }
 
 ThreadId Executor::spawn(std::string name, ThreadFn fn, bool daemon) {
-  std::unique_lock<std::mutex> lock(mu_);
   MIG_CHECK_MSG(!shutting_down_, "spawn during shutdown");
   auto t = std::make_unique<SimThread>();
   t->id = next_id_++;
   t->name = std::move(name);
   t->daemon = daemon;
   t->ctx.reset(new ThreadCtx(this, t->id, t->name));
+  t->fn = std::move(fn);
   // Start no earlier than the spawner's clock (causality).
   uint64_t start_at = sched_now_;
-  if (tls_ctx != nullptr && tls_ctx->executor_ == this) {
-    start_at = std::max(start_at, get(tls_ctx->id()).vtime);
+  if (running_ != kInvalidThread) {
+    start_at = std::max(start_at, get(running_).vtime);
   }
   t->vtime = start_at;
   t->ready_at = start_at;
-  SimThread* tp = t.get();
   threads_.push_back(std::move(t));
-
-  tp->os_thread = std::thread([this, tp, fn = std::move(fn)]() {
-    {
-      std::unique_lock<std::mutex> l(mu_);
-      tp->cv.wait(l, [&] { return tp->baton; });
-    }
-    tls_ctx = tp->ctx.get();
-    try {
-      if (!tp->kill_requested) fn(*tp->ctx);
-    } catch (const ThreadKilled&) {
-      // Normal cancellation path.
-    }
-    tls_ctx = nullptr;
-    std::unique_lock<std::mutex> l(mu_);
-    tp->state = State::kFinished;
-    tp->baton = false;
-    tp->yielded_back = true;
-    driver_cv_.notify_all();
-  });
-  return tp->id;
+  return threads_.back()->id;
 }
 
-bool Executor::drained_locked() const {
+bool Executor::drained() const {
   for (const auto& t : threads_) {
     if (!t->daemon && t->state != State::kFinished) return false;
   }
   return true;
 }
 
-bool Executor::step_locked(std::unique_lock<std::mutex>& lock) {
+bool Executor::step() {
   // Earliest-start-first among runnable threads; ties broken by id for
   // determinism. All CPUs are identical, so a burst starts at
   // max(thread.ready_at, earliest-free CPU).
@@ -148,11 +254,10 @@ bool Executor::step_locked(std::unique_lock<std::mutex>& lock) {
   running_ = best->id;
   ++stats_.slices;
 
-  best->baton = true;
-  best->yielded_back = false;
-  best->cv.notify_one();
-  driver_cv_.wait(lock, [&] { return best->yielded_back; });
+  if (best->fiber == nullptr) best->fiber = std::make_unique<Fiber>(best);
+  scheduler_->switch_to(*best->fiber);
   running_ = kInvalidThread;
+  if (best->state == State::kFinished) best->fiber.reset();  // unmaps its stack
   return true;
 }
 
@@ -163,7 +268,7 @@ bool Executor::run() {
 }
 
 bool Executor::run_until(uint64_t deadline_ns) {
-  std::unique_lock<std::mutex> lock(mu_);
+  MIG_CHECK_MSG(running_ == kInvalidThread, "run() called from a sim thread");
   // Scheduling stats fold into the metrics registry when the run ends, so a
   // traced capture carries the executor's view of the same interval.
   auto publish = [&] {
@@ -175,11 +280,11 @@ bool Executor::run_until(uint64_t deadline_ns) {
     m.set_gauge("sim.threads", threads_.size());
   };
   for (;;) {
-    if (drained_locked() || sched_now_ >= deadline_ns) {
+    if (drained() || sched_now_ >= deadline_ns) {
       publish();
       return true;
     }
-    if (!step_locked(lock)) {
+    if (!step()) {
       // Non-daemon threads remain but nothing is runnable: a hang.
       publish();
       return false;
@@ -188,7 +293,6 @@ bool Executor::run_until(uint64_t deadline_ns) {
 }
 
 void Executor::kill(ThreadId id) {
-  std::unique_lock<std::mutex> lock(mu_);
   SimThread& t = get(id);
   if (t.state == State::kFinished) return;
   t.kill_requested = true;
@@ -200,7 +304,6 @@ void Executor::kill(ThreadId id) {
 }
 
 void Executor::suspend(ThreadId id) {
-  std::unique_lock<std::mutex> lock(mu_);
   SimThread& t = get(id);
   MIG_CHECK_MSG(t.state == State::kRunnable || t.state == State::kWaiting,
                 "suspend on thread '" << t.name << "' in bad state");
@@ -211,7 +314,6 @@ void Executor::suspend(ThreadId id) {
 }
 
 void Executor::resume(ThreadId id, uint64_t at_ns) {
-  std::unique_lock<std::mutex> lock(mu_);
   SimThread& t = get(id);
   if (t.state != State::kSuspended) return;
   t.state = State::kRunnable;
@@ -219,12 +321,10 @@ void Executor::resume(ThreadId id, uint64_t at_ns) {
 }
 
 bool Executor::finished(ThreadId id) const {
-  std::unique_lock<std::mutex> lock(mu_);
   return get(id).state == State::kFinished;
 }
 
 std::string Executor::dump_state() const {
-  std::unique_lock<std::mutex> lock(mu_);
   std::string out;
   for (const auto& t : threads_) {
     if (t->state == State::kFinished) continue;
@@ -243,41 +343,25 @@ std::string Executor::dump_state() const {
 }
 
 void Executor::shutdown() {
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (shutting_down_) return;
-    shutting_down_ = true;
-    for (auto& t : threads_) {
-      if (t->state == State::kFinished) continue;
-      t->kill_requested = true;
-      if (t->state == State::kWaiting || t->state == State::kSuspended) {
-        t->state = State::kRunnable;
-        t->ready_at = std::max(t->vtime, sched_now_);
-      }
-    }
-    // Drive remaining threads to completion; each observes ThreadKilled at
-    // its next scheduling point.
-    for (;;) {
-      bool any_live = false;
-      for (auto& t : threads_) {
-        if (t->state != State::kFinished) any_live = true;
-      }
-      if (!any_live) break;
-      if (!step_locked(lock)) break;  // nothing runnable: threads that never
-                                      // started are handled below
-    }
-    // Threads that were spawned but never scheduled: hand them the baton so
-    // the trampoline exits via the kill check.
-    for (auto& t : threads_) {
-      if (t->state != State::kFinished && t->os_thread.joinable()) {
-        t->baton = true;
-        t->cv.notify_one();
-        driver_cv_.wait(lock, [&] { return t->yielded_back; });
-      }
+  if (shutting_down_) return;
+  shutting_down_ = true;
+  for (auto& t : threads_) {
+    if (t->state == State::kFinished) continue;
+    t->kill_requested = true;
+    if (t->state == State::kWaiting || t->state == State::kSuspended) {
+      t->state = State::kRunnable;
+      t->ready_at = std::max(t->vtime, sched_now_);
     }
   }
-  for (auto& t : threads_) {
-    if (t->os_thread.joinable()) t->os_thread.join();
+  // Drive remaining threads to completion; each observes ThreadKilled at its
+  // next scheduling point, and one that never ran skips its body.
+  for (;;) {
+    bool any_live = false;
+    for (auto& t : threads_) {
+      if (t->state != State::kFinished) any_live = true;
+    }
+    if (!any_live) break;
+    if (!step()) break;
   }
 }
 
@@ -287,23 +371,17 @@ void Executor::check_kill(SimThread& t) {
   if (t.kill_requested) throw ThreadKilled{};
 }
 
-void Executor::reschedule_locked(std::unique_lock<std::mutex>& lock,
-                                 SimThread& t) {
+void Executor::reschedule(SimThread& t) {
   // Release the CPU this slice occupied. cpu_release excludes non-CPU time
   // (sleeping, waiting) so those do not block other threads' bursts.
   auto it = std::min_element(cpu_free_.begin(), cpu_free_.end());
   *it = std::max(*it, t.cpu_release);
 
-  t.baton = false;
-  t.yielded_back = true;
-  driver_cv_.notify_all();
-  t.cv.wait(lock, [&] { return t.baton; });
-  t.state = State::kRunning;
+  t.fiber->switch_to(*scheduler_);
   check_kill(t);
 }
 
 void Executor::thread_work(SimThread& t, uint64_t ns) {
-  std::unique_lock<std::mutex> lock(mu_);
   check_kill(t);
   uint64_t remaining = ns;
   while (remaining > 0) {
@@ -313,16 +391,14 @@ void Executor::thread_work(SimThread& t, uint64_t ns) {
     t.ready_at = t.vtime;
     t.cpu_release = t.vtime;
     t.state = State::kRunnable;
-    reschedule_locked(lock, t);
+    reschedule(t);
     // Quantum boundary: deliver the preemption hook (unless we are already
     // inside one — AEX handlers must not recursively AEX in the model).
     if (chunk == quantum_ns_ && t.preempt_hook && !t.in_hook) {
       ++stats_.preemptions;
       t.in_hook = true;
       auto hook = t.preempt_hook;  // copy: hook may replace itself
-      lock.unlock();
       hook(*t.ctx);
-      lock.lock();
       t.in_hook = false;
       check_kill(t);
     }
@@ -330,36 +406,32 @@ void Executor::thread_work(SimThread& t, uint64_t ns) {
 }
 
 void Executor::thread_work_atomic(SimThread& t, uint64_t ns) {
-  std::unique_lock<std::mutex> lock(mu_);
   check_kill(t);
   t.vtime += ns;
   t.ready_at = t.vtime;
   t.cpu_release = t.vtime;
   t.state = State::kRunnable;
-  reschedule_locked(lock, t);
+  reschedule(t);
 }
 
 void Executor::thread_sleep(SimThread& t, uint64_t ns) {
-  std::unique_lock<std::mutex> lock(mu_);
   check_kill(t);
   t.cpu_release = t.vtime;  // the CPU is free while we sleep
   t.ready_at = t.vtime + ns;
   t.vtime = t.ready_at;
   t.state = State::kRunnable;
-  reschedule_locked(lock, t);
+  reschedule(t);
 }
 
 void Executor::thread_yield(SimThread& t) {
-  std::unique_lock<std::mutex> lock(mu_);
   check_kill(t);
   t.ready_at = t.vtime;
   t.cpu_release = t.vtime;
   t.state = State::kRunnable;
-  reschedule_locked(lock, t);
+  reschedule(t);
 }
 
 void Executor::thread_wait_event(SimThread& t, Event& ev) {
-  std::unique_lock<std::mutex> lock(mu_);
   check_kill(t);
   if (ev.set_) {
     t.vtime = std::max(t.vtime, ev.set_time_);
@@ -368,13 +440,12 @@ void Executor::thread_wait_event(SimThread& t, Event& ev) {
   ev.waiters_.push_back(t.id);
   t.state = State::kWaiting;
   t.cpu_release = t.vtime;
-  reschedule_locked(lock, t);
+  reschedule(t);
   // Woken: clock joining happened in event_set via ready_at.
 }
 
 bool Executor::thread_wait_event_until(SimThread& t, Event& ev,
                                        uint64_t deadline_ns) {
-  std::unique_lock<std::mutex> lock(mu_);
   check_kill(t);
   if (ev.set_) {
     t.vtime = std::max(t.vtime, ev.set_time_);
@@ -385,7 +456,7 @@ bool Executor::thread_wait_event_until(SimThread& t, Event& ev,
   t.state = State::kWaiting;
   t.cpu_release = t.vtime;
   t.wait_deadline = deadline_ns;
-  reschedule_locked(lock, t);
+  reschedule(t);
   t.wait_deadline = kNoDeadline;
   // Disambiguate the wake cause: event_set() clears the waiter list, so if we
   // are still on it, the scheduler woke us at the deadline.
@@ -398,7 +469,6 @@ bool Executor::thread_wait_event_until(SimThread& t, Event& ev,
 }
 
 void Executor::event_set(SimThread* setter, Event& ev) {
-  std::unique_lock<std::mutex> lock(mu_);
   uint64_t at = setter != nullptr ? setter->vtime : sched_now_;
   ev.set_ = true;
   ev.set_time_ = std::max(ev.set_time_, at);

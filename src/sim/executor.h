@@ -6,10 +6,11 @@
 // substrate for that machine:
 //
 //  * Guest threads (enclave workers, control threads, guest-OS activities,
-//    the QEMU/hypervisor migration loop) are spawned as *sim threads*. They
-//    are real std::threads underneath, but exactly one runs at a time and
-//    handoff happens only at explicit points (work/sleep/yield/wait), so the
-//    whole simulation is deterministic: same seed + same program = same
+//    the QEMU/hypervisor migration loop) are spawned as *sim threads*. Each
+//    is a user-space fiber with its own stack; all of them run on the OS
+//    thread that calls run(), exactly one at a time, and handoff happens
+//    only at explicit points (work/sleep/yield/wait), so the whole
+//    simulation is deterministic: same seed + same program = same
 //    interleaving = same virtual timings.
 //
 //  * Virtual time: a thread charges CPU time with ctx.work(ns). The executor
@@ -33,14 +34,10 @@
 // time observed by the orchestrator" is causally meaningful.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <string>
-#include <thread>
 #include <vector>
 
 #include "util/check.h"
@@ -165,7 +162,9 @@ class Executor {
 
   // Runs until every non-daemon thread has finished or is unrunnable.
   // Returns false if non-daemon threads remain blocked forever (a hang —
-  // tests assert on this).
+  // tests assert on this). Sim threads run on the calling OS thread, so
+  // every run() of one executor must come from the same OS thread, and
+  // never from one of its own sim threads.
   bool run();
 
   // Runs until the virtual scheduling clock reaches `deadline_ns` (or the
@@ -191,7 +190,8 @@ class Executor {
   uint64_t quantum_ns() const { return quantum_ns_; }
   const ExecutorStats& stats() const { return stats_; }
 
-  // Kills all live threads and joins them. Called by the destructor; safe to
+  // Kills all live threads and runs each to the end of its unwinding; a
+  // thread that never ran skips its body. Called by the destructor; safe to
   // call explicitly.
   void shutdown();
 
@@ -205,7 +205,7 @@ class Executor {
 
   enum class State : uint8_t {
     kRunnable,   // eligible at vtime ready_at
-    kRunning,    // currently holding the baton
+    kRunning,    // the fiber currently switched in
     kWaiting,    // blocked on an Event
     kSuspended,  // parked by suspend()
     kFinished,
@@ -213,6 +213,10 @@ class Executor {
 
   // Sentinel for "no deadline" on a waiting thread.
   static constexpr uint64_t kNoDeadline = ~0ull;
+
+  // A saved execution context: machine registers, stack and C++ exception
+  // state (defined in executor.cc, so <ucontext.h> stays out of this header).
+  struct Fiber;
 
   struct SimThread {
     ThreadId id;
@@ -230,11 +234,8 @@ class Executor {
     bool in_hook = false;  // preemption hook active (suppresses nesting)
     std::unique_ptr<ThreadCtx> ctx;
     ThreadCtx::PreemptHook preempt_hook;
-    // Baton handoff.
-    std::condition_variable cv;
-    bool baton = false;          // thread may run
-    bool yielded_back = true;    // thread has returned the baton
-    std::thread os_thread;
+    ThreadFn fn;                   // the body; released when it returns
+    std::unique_ptr<Fiber> fiber;  // from the first slice until finished
   };
 
   // -- called from sim threads (via ThreadCtx/Event) --
@@ -246,23 +247,25 @@ class Executor {
   bool thread_wait_event_until(SimThread& t, Event& ev, uint64_t deadline_ns);
   void event_set(SimThread* setter, Event& ev);
 
-  // Returns the baton to the scheduler and blocks until rescheduled.
-  // Precondition: lock held; postcondition: lock held, thread is kRunning.
-  void reschedule_locked(std::unique_lock<std::mutex>& lock, SimThread& t);
+  // Switches back to the scheduler; returns once the thread is scheduled
+  // again (it is then kRunning).
+  void reschedule(SimThread& t);
   void check_kill(SimThread& t);
 
-  SimThread& current();
   SimThread& get(ThreadId id);
   const SimThread& get(ThreadId id) const;
 
-  // -- scheduler core (runs on the driver thread) --
-  // Picks the next runnable thread and hands it the baton; returns false if
-  // nothing is runnable. Precondition/postcondition: lock held.
-  bool step_locked(std::unique_lock<std::mutex>& lock);
-  bool drained_locked() const;
+  // -- scheduler core (runs on the thread that called run()) --
+  // Picks the next runnable thread and switches to it until it reaches its
+  // next scheduling point; returns false if nothing is runnable.
+  bool step();
+  bool drained() const;
 
-  mutable std::mutex mu_;
-  std::condition_variable driver_cv_;
+  // Entry point of every fiber; the two halves of its SimThread* are passed
+  // as ints because that is what makecontext() can forward.
+  static void fiber_main(uint32_t thread_hi, uint32_t thread_lo) noexcept;
+
+  std::unique_ptr<Fiber> scheduler_;  // the context run() switches from
   std::vector<std::unique_ptr<SimThread>> threads_;
   std::vector<uint64_t> cpu_free_;
   uint64_t quantum_ns_;

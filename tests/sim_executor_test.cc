@@ -1,10 +1,12 @@
 // Tests for the deterministic cooperative executor: virtual-time accounting,
-// multi-CPU contention, events, preemption hooks, suspension and kill.
+// multi-CPU contention, events, preemption hooks, suspension, kill, shutdown
+// and per-fiber exception state.
 #include "sim/executor.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <exception>
 #include <vector>
 
 namespace mig::sim {
@@ -204,6 +206,69 @@ TEST(Executor, KillUnwindsThroughRaii) {
   ASSERT_TRUE(exec.run());
   EXPECT_TRUE(cleaned_up);
   EXPECT_TRUE(exec.finished(victim));
+}
+
+TEST(Executor, CatchHandlerSurvivesSchedulingPoint) {
+  // Each thread is suspended inside its own catch handler while the other
+  // throws and catches, so the rethrow must find the thread's own exception.
+  Executor exec(1);
+  std::vector<int> rethrown(2, -1);
+  std::vector<int> uncaught(2, -1);
+  for (int i = 0; i < 2; ++i) {
+    exec.spawn("catcher", [&, i](ThreadCtx& ctx) {
+      try {
+        try {
+          throw i;
+        } catch (int) {
+          ctx.sleep(1'000);
+          throw;
+        }
+      } catch (int v) {
+        rethrown[i] = v;
+      }
+      uncaught[i] = std::uncaught_exceptions();
+    });
+  }
+  ASSERT_TRUE(exec.run());
+  EXPECT_EQ(rethrown, (std::vector<int>{0, 1}));
+  EXPECT_EQ(uncaught, (std::vector<int>{0, 0}));
+  EXPECT_EQ(std::uncaught_exceptions(), 0);
+}
+
+TEST(Executor, ShutdownUnwindsParkedThreadsAndSkipsUnstarted) {
+  Executor exec(1);
+  Event never(exec);
+  int guards_run = 0;
+  bool unstarted_ran = false;
+  struct Guard {
+    int* count;
+    ~Guard() { ++*count; }
+  };
+  ThreadId parked = exec.spawn("parked", [&](ThreadCtx& ctx) {
+    Guard g{&guards_run};
+    never.wait(ctx);
+  });
+  ThreadId spinner = exec.spawn(
+      "spinner",
+      [&](ThreadCtx& ctx) {
+        Guard g{&guards_run};
+        for (;;) ctx.work(1'000);
+      },
+      /*daemon=*/true);
+  // The blocked thread keeps run() from draining and the daemon keeps it
+  // busy, so stop at a deadline.
+  ASSERT_TRUE(exec.run_until(100'000));
+  ThreadId unstarted =
+      exec.spawn("unstarted", [&](ThreadCtx&) { unstarted_ran = true; });
+  EXPECT_FALSE(exec.finished(parked));
+  EXPECT_EQ(guards_run, 0);
+
+  exec.shutdown();
+  EXPECT_TRUE(exec.finished(parked));
+  EXPECT_TRUE(exec.finished(spinner));
+  EXPECT_TRUE(exec.finished(unstarted));
+  EXPECT_EQ(guards_run, 2);
+  EXPECT_FALSE(unstarted_ran);
 }
 
 TEST(Executor, SpinUntilObservesFlagWrittenByOtherThread) {

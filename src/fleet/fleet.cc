@@ -52,13 +52,10 @@ struct FleetScheduler::Entry {
 FleetScheduler::FleetScheduler(hv::World& world, EvacuationPlan plan)
     : world_(&world),
       plan_(std::move(plan)),
+      uplink_(world.cost().net_ns_per_byte_x100),
       slot_free_(std::make_unique<sim::Event>(world.executor())),
       stop_free_(std::make_unique<sim::Event>(world.executor())) {
   if (plan_.max_concurrent == 0) plan_.max_concurrent = 1;
-  if (plan_.share_uplink) {
-    uplink_ = std::make_unique<sim::SharedLink>(
-        world.cost().net_ns_per_byte_x100);
-  }
 }
 
 FleetScheduler::~FleetScheduler() = default;
@@ -81,15 +78,13 @@ void FleetScheduler::add_vm(const VmPlan& plan, hv::Vm& vm,
 }
 
 void FleetScheduler::stop_begin(sim::ThreadCtx& ctx, Entry& e) {
-  if (plan_.serialize_stop_windows) {
-    // One downtime window at a time: concurrent migrations overlap their
-    // pre-copies, never their stop-and-copies.
-    while (stop_busy_) {
-      stop_free_->reset();
-      stop_free_->wait(ctx);
-    }
-    stop_busy_ = true;
+  // One downtime window at a time: concurrent migrations overlap their
+  // pre-copies, never their stop-and-copies.
+  while (stop_busy_) {
+    stop_free_->reset();
+    stop_free_->wait(ctx);
   }
+  stop_busy_ = true;
   e.in_stop_window = true;
   obs::instant(ctx, "fleet.stop_window", "fleet", {{"vm", e.plan.name}});
   if (e.plan.deadline_ns != 0) {
@@ -116,10 +111,8 @@ void FleetScheduler::stop_end(sim::ThreadCtx& ctx, Entry& e) {
   }
   e.preempted.clear();
   e.in_stop_window = false;
-  if (plan_.serialize_stop_windows) {
-    stop_busy_ = false;
-    stop_free_->set(ctx);
-  }
+  stop_busy_ = false;
+  stop_free_->set(ctx);
 }
 
 void FleetScheduler::run_vm(sim::ThreadCtx& ctx, Entry& e) {
@@ -131,10 +124,6 @@ void FleetScheduler::run_vm(sim::ThreadCtx& ctx, Entry& e) {
   for (uint64_t attempt = 1; attempt <= e.plan.max_attempts; ++attempt) {
     e.outcome.attempts = attempt;
     migration::VmMigrationSession::Options opts;
-    opts.precopy = plan_.precopy;
-    opts.cipher = plan_.cipher;
-    opts.chunk_bytes = plan_.chunk_bytes;
-    opts.seal_workers = plan_.seal_workers;
     opts.counter_service = plan_.counter_service;
     switch (e.plan.mode) {
       case Mode::kPreCopy:
@@ -149,10 +138,8 @@ void FleetScheduler::run_vm(sim::ThreadCtx& ctx, Entry& e) {
         opts.hybrid = true;
         break;
     }
-    if (uplink_ != nullptr) {
-      opts.uplink = uplink_.get();
-      opts.uplink_weight = e.plan.weight;
-    }
+    opts.uplink = &uplink_;
+    opts.uplink_weight = e.plan.weight;
     opts.channel_hook = e.channel_hook;
     opts.precopy.stop_begin = [this, &e](sim::ThreadCtx& c) {
       stop_begin(c, e);

@@ -69,19 +69,7 @@ struct VmPlan {
 struct EvacuationPlan {
   // Admission control: concurrent sessions allowed. 1 = serial evacuation.
   uint64_t max_concurrent = 4;
-  // Arbitrate one shared host NIC across the admitted sessions (weighted
-  // fair). Off = each session gets its own private link, as in the
-  // single-migration tests.
-  bool share_uplink = true;
-  // Allow at most one VM in its downtime window at a time.
-  bool serialize_stop_windows = true;
-  // Base engine parameters for every session (per-VM mode flags are layered
-  // on top).
-  hv::MigrationParams precopy;
   // Forwarded to every VM's VmMigrationSession.
-  crypto::CipherAlg cipher = crypto::CipherAlg::kRc4;
-  uint64_t chunk_bytes = 64 * 1024;
-  uint64_t seal_workers = 2;
   store::CounterBackend* counter_service = nullptr;
 };
 
@@ -160,14 +148,14 @@ class FleetScheduler {
   hv::World* world_;
   EvacuationPlan plan_;
   std::vector<std::unique_ptr<Entry>> entries_;
-  std::unique_ptr<sim::SharedLink> uplink_;
+  sim::SharedLink uplink_;
 
   // Coordinator state (one writer at a time — cooperative scheduler).
   uint64_t active_ = 0;
   uint64_t done_ = 0;
   std::unique_ptr<sim::Event> slot_free_;
 
-  // Stop-window token (serialize_stop_windows).
+  // Stop-window token: at most one VM in its downtime window at a time.
   bool stop_busy_ = false;
   std::unique_ptr<sim::Event> stop_free_;
 

@@ -89,6 +89,26 @@ Result<Parsed> parse(ByteSpan data) {
   return p;
 }
 
+// Stop-and-copy once the dirty set fits here: ~600 KB => single-digit-ms
+// downtime.
+constexpr uint64_t kStopCopyThresholdPages = 150;
+
+// ---- failure handling (all virtual time) ----
+// The ack deadline for a round of B bytes is 2x its wire time plus this
+// grace, so detection latency scales with what was actually sent.
+constexpr uint64_t kAckGraceNs = 1'000'000'000;  // 1 s
+// Pre-copy rounds are idempotent: on an ack timeout the source retransmits
+// the same round up to this many times, backing off between attempts.
+constexpr uint64_t kMaxAckRetries = 2;
+constexpr uint64_t kRetryBackoffNs = 200'000'000;  // doubles per attempt
+// Source side: how long to wait for the target's enclave-restore report
+// (covers rebuild + WAN attestation + CSSA pumping for many enclaves).
+constexpr uint64_t kRestoreTimeoutNs = 120'000'000'000;  // 120 s
+
+// Give hybrid's convergence detector at least this many rounds of signal
+// before it may flip.
+constexpr uint64_t kPostcopyMinRounds = 2;
+
 }  // namespace
 
 uint64_t LiveMigrationEngine::wire_ns(uint64_t bytes) const {
@@ -134,12 +154,11 @@ Result<MigrationReport> LiveMigrationEngine::migrate_source(
     return parse(*m);
   };
 
-  // One pre-copy round with bounded retry. Rounds are idempotent (the target
-  // just applies pages and acks), so a lost round or a lost ack is repaired
-  // by retransmission; anything else fails the round.
-  // `scan_ns` is the round's dirty-bitmap scan/gather budget; it is charged
-  // up front in the classic path, and spread across batches (overlapping the
-  // wire) when round batching is on.
+  // One pre-copy round with bounded retry: one kRound frame, one ack. Rounds
+  // are idempotent (the target just applies pages and acks), so a lost round
+  // or a lost ack is repaired by retransmission; anything else fails the
+  // round. `scan_ns` is the round's dirty-bitmap scan/gather budget, charged
+  // before the first send.
   auto send_round_acked = [&](uint64_t pages, uint64_t extra,
                               uint64_t scan_ns) -> Status {
     uint64_t bytes = pages * page + extra;
@@ -147,72 +166,25 @@ Result<MigrationReport> LiveMigrationEngine::migrate_source(
         ctx, "precopy_round", "hv",
         {{"round", report.rounds}, {"pages", pages}, {"bytes", bytes}});
     obs::metrics().observe("hv.round_bytes", bytes);
-    const uint64_t batch_pages = params_.round_batch_pages;
-    if (batch_pages == 0 || pages <= batch_pages) {
-      // Classic whole-round framing: one kRound frame, one ack.
-      if (scan_ns > 0) ctx.work_atomic(scan_ns);
-      for (uint64_t attempt = 0;; ++attempt) {
-        link.send_sized(ctx, msg(Tag::kRound, pages, extra), bytes);
-        report.transferred_bytes += bytes;
-        Result<Parsed> p =
-            recv_parsed(ctx.now() + 2 * wire_ns(bytes) + params_.ack_grace_ns);
-        if (p.ok()) {
-          if (p->tag == Tag::kRoundAck) return OkStatus();
-          if (p->tag == Tag::kAbort)
-            return Error(ErrorCode::kAborted, "target aborted the migration");
-          return Error(ErrorCode::kInternal, "migration protocol desync");
-        }
-        if (p.status().code() != ErrorCode::kDeadlineExceeded ||
-            attempt >= params_.max_ack_retries) {
-          return p.status();
-        }
-        obs::instant(ctx, "precopy.retry", "hv", {{"attempt", attempt}});
-        obs::metrics().add("hv.precopy.retries");
-        ctx.sleep(params_.retry_backoff_ns << attempt);
-      }
-    }
-    // Batched: the round's pages ride the link as back-to-back kRound
-    // frames. send_sized never blocks the sender, so gathering batch k+1
-    // overlaps transmitting batch k; the link itself serializes the bytes.
-    // The target acks every frame (it cannot tell a batch from a small
-    // round); the source collects one ack per batch. Retry remains at
-    // whole-round granularity — rounds are idempotent, and duplicate acks
-    // from a half-acked attempt are tolerated just like retransmitted-round
-    // acks in the classic path.
-    const uint64_t nbatches = (pages + batch_pages - 1) / batch_pages;
-    obs::metrics().set_gauge("hv.round_batches", nbatches);
+    if (scan_ns > 0) ctx.work_atomic(scan_ns);
     for (uint64_t attempt = 0;; ++attempt) {
-      uint64_t sent = 0;
-      for (uint64_t b = 0; b < nbatches; ++b) {
-        uint64_t bp = std::min(batch_pages, pages - sent);
-        sent += bp;
-        ctx.work_atomic(scan_ns / nbatches);
-        // Extra (checkpoint) bytes ride on the first batch, so a round that
-        // carries checkpoints still announces them in its first frame.
-        uint64_t e = b == 0 ? extra : 0;
-        link.send_sized(ctx, msg(Tag::kRound, bp, e), bp * page + e);
-      }
+      link.send_sized(ctx, msg(Tag::kRound, pages, extra), bytes);
       report.transferred_bytes += bytes;
-      bool all_acked = true;
-      for (uint64_t b = 0; b < nbatches && all_acked; ++b) {
-        Result<Parsed> p =
-            recv_parsed(ctx.now() + 2 * wire_ns(bytes) + params_.ack_grace_ns);
-        if (p.ok()) {
-          if (p->tag == Tag::kRoundAck) continue;
-          if (p->tag == Tag::kAbort)
-            return Error(ErrorCode::kAborted, "target aborted the migration");
-          return Error(ErrorCode::kInternal, "migration protocol desync");
-        }
-        if (p.status().code() != ErrorCode::kDeadlineExceeded ||
-            attempt >= params_.max_ack_retries) {
-          return p.status();
-        }
-        all_acked = false;
+      Result<Parsed> p =
+          recv_parsed(ctx.now() + 2 * wire_ns(bytes) + kAckGraceNs);
+      if (p.ok()) {
+        if (p->tag == Tag::kRoundAck) return OkStatus();
+        if (p->tag == Tag::kAbort)
+          return Error(ErrorCode::kAborted, "target aborted the migration");
+        return Error(ErrorCode::kInternal, "migration protocol desync");
       }
-      if (all_acked) return OkStatus();
+      if (p.status().code() != ErrorCode::kDeadlineExceeded ||
+          attempt >= kMaxAckRetries) {
+        return p.status();
+      }
       obs::instant(ctx, "precopy.retry", "hv", {{"attempt", attempt}});
       obs::metrics().add("hv.precopy.retries");
-      ctx.sleep(params_.retry_backoff_ns << attempt);
+      ctx.sleep(kRetryBackoffNs << attempt);
     }
   };
 
@@ -256,11 +228,10 @@ Result<MigrationReport> LiveMigrationEngine::migrate_source(
   if (!params_.post_copy) {
     for (uint64_t round = 0; round < params_.max_rounds; ++round) {
       pause_gate(ctx.now());
-      if (dirty <= params_.stop_copy_threshold_pages) break;
+      if (dirty <= kStopCopyThresholdPages) break;
       uint64_t before = dirty;
       uint64_t round_start = ctx.now();
-      // Dirty-bitmap scan + queueing (charged inside the round so batching
-      // can overlap it with the wire).
+      // Dirty-bitmap scan + queueing, charged inside the round's span.
       Status st = send_round_acked(
           dirty, delta_pending,
           cost_->precopy_scan_ns_per_page * vm.used_pages() / 64);
@@ -286,7 +257,7 @@ Result<MigrationReport> LiveMigrationEngine::migrate_source(
       }
       dirty = vm.pages_dirtied_over(ctx.now() - round_start);
       report.rounds += 1;
-      if (params_.hybrid && report.rounds >= params_.postcopy_min_rounds &&
+      if (params_.hybrid && report.rounds >= kPostcopyMinRounds &&
           dirty * 8 >= before * 7) {
         // The round shrank the dirty set by less than 1/8: pre-copy is not
         // converging at this dirty rate. Flip instead of burning the rest of
@@ -297,7 +268,7 @@ Result<MigrationReport> LiveMigrationEngine::migrate_source(
     }
     // Rounds exhausted without converging: hybrid still gets bounded
     // downtime by flipping; classic pre-copy stop-and-copies the residue.
-    if (params_.hybrid && dirty > params_.stop_copy_threshold_pages)
+    if (params_.hybrid && dirty > kStopCopyThresholdPages)
       flip = true;
   }
 
@@ -343,11 +314,11 @@ Result<MigrationReport> LiveMigrationEngine::migrate_source(
         pause_gate(ctx.now());
         // The checkpoints must reach the target while the VM still runs (they
         // live in ordinary guest memory); never stop with them unsent.
-        if (dirty <= params_.stop_copy_threshold_pages && pending_extra == 0 &&
+        if (dirty <= kStopCopyThresholdPages && pending_extra == 0 &&
             vm.hooks()->ready_to_stop()) {
           break;
         }
-        if (dirty <= params_.stop_copy_threshold_pages && pending_extra == 0) {
+        if (dirty <= kStopCopyThresholdPages && pending_extra == 0) {
           // Converged but not ready: idle in pre-copy a little longer.
           ctx.sleep(5'000'000);
           dirty += vm.pages_dirtied_over(5'000'000);
@@ -428,8 +399,7 @@ Result<MigrationReport> LiveMigrationEngine::migrate_source(
 
   Result<Parsed> p = Error(ErrorCode::kInternal, "unset");
   for (;;) {
-    p = recv_parsed(ctx.now() + 2 * wire_ns(final_bytes) +
-                    params_.ack_grace_ns);
+    p = recv_parsed(ctx.now() + 2 * wire_ns(final_bytes) + kAckGraceNs);
     // A retransmitted round earns a duplicate ack; drain stale kRoundAcks
     // rather than mistaking them for a protocol violation.
     if (p.ok() && p->tag == Tag::kRoundAck) continue;
@@ -469,7 +439,7 @@ Result<MigrationReport> LiveMigrationEngine::migrate_source(
     obs::Span<sim::ThreadCtx> serve_span(ctx, "postcopy.vm_serve", "hv",
                                          {{"tail_pages", dirty}});
     for (bool done = false; !done;) {
-      Result<Parsed> q = recv_parsed(ctx.now() + params_.restore_timeout_ns);
+      Result<Parsed> q = recv_parsed(ctx.now() + kRestoreTimeoutNs);
       if (!q.ok()) {
         obs::flight(ctx, "hv.source", "postcopy_serve_failed",
                     q.status().to_string());
@@ -515,7 +485,7 @@ Result<MigrationReport> LiveMigrationEngine::migrate_source(
     obs::Span<sim::ThreadCtx> wait_span(ctx, "wait_restore_report", "hv");
     Result<Parsed> d = p->tag == Tag::kRestoreDone
                            ? p
-                           : recv_parsed(ctx.now() + params_.restore_timeout_ns);
+                           : recv_parsed(ctx.now() + kRestoreTimeoutNs);
     if (!d.ok()) {
       obs::flight(ctx, "hv.source", "restore_wait_failed",
                   d.status().to_string());
@@ -550,7 +520,7 @@ Result<MigrationReport> LiveMigrationEngine::migrate_target(
   uint64_t start = ctx.now();
   for (;;) {
     std::optional<Bytes> m =
-        link.recv_deadline(ctx, ctx.now() + params_.target_recv_timeout_ns);
+        link.recv_deadline(ctx, ctx.now() + kTargetRecvTimeoutNs);
     if (!m.has_value()) {
       obs::flight(ctx, "hv.target", "link_quiet",
                   "migration link went quiet; target aborting");
@@ -619,7 +589,7 @@ Result<MigrationReport> LiveMigrationEngine::migrate_target(
         uint64_t batch = std::min(params_.postcopy_batch_pages, remaining);
         link.send(ctx, msg(Tag::kPageRequest, batch));
         std::optional<Bytes> pm = link.recv_deadline(
-            ctx, ctx.now() + params_.target_recv_timeout_ns);
+            ctx, ctx.now() + kTargetRecvTimeoutNs);
         if (!pm.has_value())
           return fail_closed(
               Error(ErrorCode::kDeadlineExceeded,

@@ -22,34 +22,13 @@
 
 namespace mig::hv {
 
+// Target side: maximum quiet gap between protocol messages (virtual time).
+// Must exceed the longest round transmission (round 0 of a 2 GB guest is
+// ~28 s at the modeled 33 MB/s) plus source-side prepare work.
+inline constexpr uint64_t kTargetRecvTimeoutNs = 60'000'000'000;  // 60 s
+
 struct MigrationParams {
   uint64_t max_rounds = 30;
-  uint64_t stop_copy_threshold_pages = 150;  // ~600 KB => single-digit-ms downtime
-
-  // Chunked round batching (the checkpoint pipeline idea applied to
-  // pre-copy): when > 0, each round is split into batches of this many
-  // pages, sent back-to-back so the dirty-page gather for batch k+1 overlaps
-  // the wire transmission of batch k. The target acks every kRound frame as
-  // before — no target-side change — and retry stays at whole-round
-  // granularity. 0 = classic one-frame-per-round behavior, byte-identical
-  // on the wire (the failure-matrix tests pin that protocol).
-  uint64_t round_batch_pages = 0;
-
-  // ---- failure handling (all virtual time) ----
-  // The ack deadline for a round of B bytes is 2x its wire time plus this
-  // grace, so detection latency scales with what was actually sent.
-  uint64_t ack_grace_ns = 1'000'000'000;  // 1 s
-  // Pre-copy rounds are idempotent: on an ack timeout the source retransmits
-  // the same round up to this many times, backing off between attempts.
-  uint64_t max_ack_retries = 2;
-  uint64_t retry_backoff_ns = 200'000'000;  // doubles per attempt
-  // Target side: maximum quiet gap between protocol messages. Must exceed
-  // the longest round transmission (round 0 of a 2 GB guest is ~28 s at the
-  // modeled 33 MB/s) plus source-side prepare work.
-  uint64_t target_recv_timeout_ns = 60'000'000'000;  // 60 s
-  // Source side: how long to wait for the target's enclave-restore report
-  // (covers rebuild + WAN attestation + CSSA pumping for many enclaves).
-  uint64_t restore_timeout_ns = 120'000'000'000;  // 120 s
 
   // ---- post-copy / hybrid (wire format v4) ----
   // post_copy: skip pre-copy entirely — stop, ship only device state and
@@ -63,9 +42,6 @@ struct MigrationParams {
   // tiny pulled tail; adversarial dirty rates get post-copy's bounded
   // downtime.
   bool hybrid = false;
-  // Give hybrid's convergence detector at least this many rounds of signal
-  // before it may flip.
-  uint64_t postcopy_min_rounds = 2;
   // Target demand-pull batch size (pages per kPageRequest).
   uint64_t postcopy_batch_pages = 512;
 

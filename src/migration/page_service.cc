@@ -11,14 +11,26 @@
 
 namespace mig::migration {
 
+namespace {
+
+// Upper bound on demand pages forwarded per kServePages post; a bigger
+// request is split across several posts (and reply frames).
+constexpr size_t kMaxServeBatch = 32;
+// Manifest pages adjacent to each fault that the enclave may serve in the
+// same reply (forwarded as ControlCmd::prefetch_pages).
+constexpr uint64_t kPrefetchPages = 8;
+// A link this quiet is treated as hung up; the service exits.
+constexpr uint64_t kIdleTimeoutNs = 30'000'000'000;  // 30 s
+
+}  // namespace
+
 Result<uint64_t> serve_pages(sim::ThreadCtx& ctx,
                              sdk::ControlMailbox& source_mailbox,
-                             sim::Channel::End end,
-                             const PageServiceOptions& opts) {
+                             sim::Channel::End end) {
   obs::Span<sim::ThreadCtx> span(ctx, "postcopy.service", "migration");
   uint64_t frames = 0;
   for (;;) {
-    std::optional<Bytes> frame = end.recv_timeout(ctx, opts.idle_timeout_ns);
+    std::optional<Bytes> frame = end.recv_timeout(ctx, kIdleTimeoutNs);
     if (!frame) break;  // quiet or severed link: the client is gone
     std::optional<sdk::PageFrameKind> kind = sdk::page_frame_kind(*frame);
     if (!kind) {
@@ -35,9 +47,9 @@ Result<uint64_t> serve_pages(sim::ThreadCtx& ctx,
                    "page service received a reply frame (protocol confusion)");
     }
 
-    // A request wider than max_batch is split across several enclave posts so
-    // one greedy client cannot monopolize the control mailbox; each slice
-    // produces its own reply frame (the chain keeps them ordered).
+    // A request wider than kMaxServeBatch is split across several enclave
+    // posts so one greedy client cannot monopolize the control mailbox; each
+    // slice produces its own reply frame (the chain keeps them ordered).
     auto parsed = sdk::parse_page_request(*frame);
     if (!parsed.ok()) {
       // Forward the malformed frame anyway: the enclave's defensive parse is
@@ -45,7 +57,7 @@ Result<uint64_t> serve_pages(sim::ThreadCtx& ctx,
       sdk::ControlCmd cmd;
       cmd.type = sdk::ControlCmd::Type::kServePages;
       cmd.blob = std::move(*frame);
-      cmd.prefetch_pages = opts.prefetch_pages;
+      cmd.prefetch_pages = kPrefetchPages;
       sdk::ControlReply r = source_mailbox.post(ctx, std::move(cmd));
       MIG_RETURN_IF_ERROR(r.status);
       obs::flight(ctx, "migration.page_service", "bad_frame",
@@ -53,16 +65,15 @@ Result<uint64_t> serve_pages(sim::ThreadCtx& ctx,
       return Error(ErrorCode::kInternal, "enclave accepted a malformed frame");
     }
     const sdk::PageRequest& req = *parsed;
-    for (size_t off = 0; off < req.pages.size();
-         off += static_cast<size_t>(opts.max_batch)) {
+    for (size_t off = 0; off < req.pages.size(); off += kMaxServeBatch) {
       sdk::PageRequest slice;
       slice.epoch = req.epoch;
-      size_t n = std::min<size_t>(opts.max_batch, req.pages.size() - off);
+      size_t n = std::min(kMaxServeBatch, req.pages.size() - off);
       slice.pages.assign(req.pages.begin() + off, req.pages.begin() + off + n);
       sdk::ControlCmd cmd;
       cmd.type = sdk::ControlCmd::Type::kServePages;
       cmd.blob = sdk::encode_page_request(slice);
-      cmd.prefetch_pages = opts.prefetch_pages;
+      cmd.prefetch_pages = kPrefetchPages;
       sdk::ControlReply r = source_mailbox.post(ctx, std::move(cmd));
       MIG_RETURN_IF_ERROR(r.status);
       end.send(ctx, std::move(r.blob));

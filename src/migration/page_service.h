@@ -31,28 +31,15 @@
 
 namespace mig::migration {
 
-struct PageServiceOptions {
-  // Upper bound on demand pages forwarded per kServePages post; a bigger
-  // request is split across several posts (and reply frames).
-  uint64_t max_batch = 32;
-  // Manifest pages adjacent to each fault that the enclave may serve in the
-  // same reply (forwarded as ControlCmd::prefetch_pages).
-  uint64_t prefetch_pages = 8;
-  // A link this quiet is treated as hung up; the service exits.
-  uint64_t idle_timeout_ns = 30'000'000'000;  // 30 s
-};
-
 // Source-side serve loop. Runs until the client hangs up (done frame), the
 // link goes quiet/severed, or the enclave refuses a request. Returns the
 // number of reply frames served on success.
 Result<uint64_t> serve_pages(sim::ThreadCtx& ctx,
                              sdk::ControlMailbox& source_mailbox,
-                             sim::Channel::End end,
-                             const PageServiceOptions& opts);
+                             sim::Channel::End end);
 
 struct PagePullOptions {
   uint64_t demand_batch = 8;        // faults bundled per request frame
-  uint64_t prefetch_pages = 8;      // forwarded to the source service
   uint64_t reply_timeout_ns = 5'000'000'000;  // 5 s per reply
 };
 

@@ -171,7 +171,6 @@ Status EnclaveMigrator::restore(
         {{"pages", restored.postcopy_pending.size()}});
     PagePullOptions popts;
     popts.demand_batch = opts.postcopy_demand_batch;
-    popts.prefetch_pages = opts.postcopy_prefetch;
     popts.reply_timeout_ns = opts.postcopy_reply_timeout_ns;
 
     std::unique_ptr<sim::Channel> page_ch;
@@ -191,12 +190,9 @@ Status EnclaveMigrator::restore(
       sdk::ControlMailbox* smb = source_instance->mailbox.get();
       sim::Channel* pch = page_ch.get();
       ServeOutcome* pout = page_serve_out.get();
-      uint64_t prefetch = opts.postcopy_prefetch;
       world_->executor().spawn(
-          "page-service", [smb, pch, pout, prefetch](sim::ThreadCtx& c) {
-            PageServiceOptions sopts;
-            sopts.prefetch_pages = prefetch;
-            pout->status = serve_pages(c, *smb, pch->a(), sopts).status();
+          "page-service", [smb, pch, pout](sim::ThreadCtx& c) {
+            pout->status = serve_pages(c, *smb, pch->a()).status();
             pout->done.set(c);
           });
     }
@@ -761,17 +757,14 @@ Result<hv::MigrationReport> VmMigrationSession::run(sim::ThreadCtx& ctx) {
     uplink_flow = opts_.uplink->add_flow(opts_.uplink_weight);
     channel->a_to_b().attach_shared_link(opts_.uplink, uplink_flow);
   }
-  // Chain the session's cooperative pause gate in front of any caller-
-  // provided fleet hook, so a scheduler can both pause rounds (pause()/
-  // resume()) and observe them (Options::precopy.before_round).
+  // The session's cooperative pause gate: a scheduler pauses rounds with
+  // pause()/resume().
   hv::MigrationParams params = opts_.precopy;
-  auto user_hook = params.before_round;
-  params.before_round = [this, user_hook](sim::ThreadCtx& c) {
+  params.before_round = [this](sim::ThreadCtx& c) {
     while (paused_) {
       pause_event_.reset();
       pause_event_.wait(c);
     }
-    if (user_hook) user_hook(c);
   };
   if (opts_.uplink != nullptr) {
     // The blackout's bytes ride the shared NIC's priority lane: queued

@@ -67,7 +67,6 @@ struct EnclaveMigrateOptions {
   // itself; tests pass their own end to control (and sever) the link.
   sim::Channel::End* page_channel = nullptr;
   uint64_t postcopy_demand_batch = 8;   // faults bundled per request frame
-  uint64_t postcopy_prefetch = 8;       // fault-adjacent pages served along
   uint64_t postcopy_reply_timeout_ns = 5'000'000'000;  // then fail closed
 };
 
@@ -177,6 +176,8 @@ class AgentEnclave {
 class VmMigrationSession {
  public:
   struct Options {
+    // The session installs its own pause gate (pause()/resume()) as
+    // precopy.before_round.
     hv::MigrationParams precopy;
     crypto::CipherAlg cipher = crypto::CipherAlg::kRc4;
     bool use_agent = false;  // §VI-D optimization

@@ -66,6 +66,11 @@ uint64_t true_cssa_from_flags(uint64_t local_flag, uint64_t cssa_eenter) {
 
 namespace {
 
+// Bound (virtual time) on every blocking channel recv a command performs. A
+// quiet peer yields kDeadlineExceeded instead of wedging the control thread —
+// and with it the one-command-at-a-time mailbox — forever.
+constexpr uint64_t kChannelTimeoutNs = 5'000'000'000;  // 5 s
+
 // ---- in-control-thread state shared between kRestore and kFinishRestore ----
 struct WorkerSnapshot {
   uint64_t local_flag = 0;
@@ -1279,8 +1284,15 @@ class ControlEngine {
       cmd.channel->send(env_->ctx(), to_bytes("REFUSE"));
       return fail(ErrorCode::kFailedPrecondition, "no migration key armed");
     }
+    // Without its identity key the source cannot sign the reply; refuse now
+    // rather than leave the target waiting out its channel timeout.
+    if (env_->read_u64(kOffProvisioned) != 1) {
+      cmd.channel->send(env_->ctx(), to_bytes("REFUSE"));
+      return fail(ErrorCode::kFailedPrecondition,
+                  "identity key not provisioned");
+    }
     std::optional<Bytes> req_in =
-        cmd.channel->recv_timeout(env_->ctx(), cmd.channel_timeout_ns);
+        cmd.channel->recv_timeout(env_->ctx(), kChannelTimeoutNs);
     if (!req_in.has_value()) {
       // The requester never showed up. Keep the key: the migration manager
       // decides next (retry kServeKey, or kCancelMigration to roll back).
@@ -1347,9 +1359,6 @@ class ControlEngine {
     Bytes kmigrate = env_->read_bytes(kOffKmigrate, 32);
     Bytes enc = crypto::seal(crypto::CipherAlg::kChaCha20, session, kmigrate);
 
-    if (env_->read_u64(kOffProvisioned) != 1)
-      return fail(ErrorCode::kFailedPrecondition,
-                  "identity key not provisioned");
     crypto::BigNum sk = crypto::BigNum::from_bytes(
         env_->read_bytes(kOffIdentityPriv, 160));
     // The reply carries the source's measurement (public) inside the signed
@@ -1389,7 +1398,7 @@ class ControlEngine {
       // §VI-D agent optimization: fetch Kmigrate by local attestation.
       kmigrate = key_from_agent(*cmd.agent);
     } else if (cmd.channel.has_value()) {
-      kmigrate = key_from_source(*cmd.channel, cmd.channel_timeout_ns);
+      kmigrate = key_from_source(*cmd.channel);
     }
     if (!kmigrate.ok())
       return fail(kmigrate.status().code(), kmigrate.status().message());
@@ -1480,7 +1489,7 @@ class ControlEngine {
     return reply;
   }
 
-  Result<Bytes> key_from_source(sim::Channel::End& ch, uint64_t timeout_ns,
+  Result<Bytes> key_from_source(sim::Channel::End& ch,
                                 bool check_source_mre = true,
                                 crypto::Digest* source_mre_out = nullptr) {
     obs::Span<sim::ThreadCtx> span(env_->ctx(), "key_handshake.fetch", "sdk");
@@ -1498,7 +1507,8 @@ class ControlEngine {
     req.bytes(quote.serialize());
     ch.send(env_->ctx(), req.take());
 
-    std::optional<Bytes> reply_in = ch.recv_timeout(env_->ctx(), timeout_ns);
+    std::optional<Bytes> reply_in =
+        ch.recv_timeout(env_->ctx(), kChannelTimeoutNs);
     if (!reply_in.has_value())
       return Error(ErrorCode::kDeadlineExceeded,
                    "source never answered the key request");
@@ -1608,8 +1618,8 @@ class ControlEngine {
   }
 
   // ---- owner-keyed checkpoint/resume (§V-C) -----------------------------------
-  Result<Bytes> owner_key_exchange(sim::Channel::End& ch, std::string_view verb,
-                                   uint64_t timeout_ns) {
+  Result<Bytes> owner_key_exchange(sim::Channel::End& ch,
+                                   std::string_view verb) {
     env_->work(env_->cost().dh_keygen_ns);
     crypto::DhKeyPair kp = crypto::dh_generate(deps_->rng);
     Bytes dh_pub = kp.pub.to_bytes_padded(128);
@@ -1624,7 +1634,8 @@ class ControlEngine {
     req.bytes(quote.serialize());
     wan_round_trip();
     ch.send(env_->ctx(), req.take());
-    std::optional<Bytes> reply_in = ch.recv_timeout(env_->ctx(), timeout_ns);
+    std::optional<Bytes> reply_in =
+        ch.recv_timeout(env_->ctx(), kChannelTimeoutNs);
     if (!reply_in.has_value())
       return Error(ErrorCode::kDeadlineExceeded, "owner never answered");
     Bytes reply = std::move(*reply_in);
@@ -1648,15 +1659,18 @@ class ControlEngine {
       return fail(ErrorCode::kInvalidArgument, "no owner channel");
     if (self_destroyed())
       return fail(ErrorCode::kAborted, "enclave has self-destroyed");
-    auto kencrypt =
-        owner_key_exchange(*cmd.channel, "CKPT", cmd.channel_timeout_ns);
+    auto kencrypt = owner_key_exchange(*cmd.channel, "CKPT");
     if (!kencrypt.ok()) return fail(kencrypt.status().code(),
                                     kencrypt.status().message());
     reach_quiescent_point();
     charge_dump_ = cmd.chunk_bytes == 0;
     auto c = capture();
     charge_dump_ = true;
-    if (!c.ok()) return fail(c.status().code(), c.status().message());
+    if (!c.ok()) {
+      // Nothing was sealed: release the workers, as store_snapshot does.
+      env_->write_u64(kOffGlobalFlag, 0);
+      return fail(c.status().code(), c.status().message());
+    }
     ControlReply reply;
     reply.blob = seal_checkpoint(*c, *kencrypt, cmd);
     // A snapshot is not a migration: execution continues right away.
@@ -1667,8 +1681,7 @@ class ControlEngine {
   ControlReply owner_restore(ControlCmd& cmd) {
     if (!cmd.channel.has_value())
       return fail(ErrorCode::kInvalidArgument, "no owner channel");
-    auto kencrypt =
-        owner_key_exchange(*cmd.channel, "RESTORE", cmd.channel_timeout_ns);
+    auto kencrypt = owner_key_exchange(*cmd.channel, "RESTORE");
     if (!kencrypt.ok()) return fail(kencrypt.status().code(),
                                     kencrypt.status().message());
     return restore_with_key(cmd, *kencrypt);
@@ -1688,8 +1701,7 @@ class ControlEngine {
   // drop a grant (availability) but can neither forge nor replay one.
   Result<CounterGrant> counter_key_exchange(sim::Channel::End& ch,
                                             std::string_view verb,
-                                            uint64_t counter_arg,
-                                            uint64_t timeout_ns) {
+                                            uint64_t counter_arg) {
     Bytes membership_blob = embedded_quorum_membership_blob();
     Bytes pk_blob = embedded_counter_pk_blob();
     if (pk_blob.empty() && membership_blob.empty())
@@ -1710,7 +1722,8 @@ class ControlEngine {
     req.bytes(quote.serialize());
     wan_round_trip();
     ch.send(env_->ctx(), req.take());
-    std::optional<Bytes> reply_in = ch.recv_timeout(env_->ctx(), timeout_ns);
+    std::optional<Bytes> reply_in =
+        ch.recv_timeout(env_->ctx(), kChannelTimeoutNs);
     if (!reply_in.has_value())
       return Error(ErrorCode::kDeadlineExceeded,
                    "counter service never answered");
@@ -1886,8 +1899,7 @@ class ControlEngine {
     if (self_destroyed())
       return fail(ErrorCode::kAborted, "enclave has self-destroyed");
     uint64_t epoch = env_->read_u64(kOffCounterEpoch);
-    auto grant = counter_key_exchange(*cmd.channel, "SEALGRANT", epoch,
-                                      cmd.channel_timeout_ns);
+    auto grant = counter_key_exchange(*cmd.channel, "SEALGRANT", epoch);
     if (!grant.ok())
       return fail(grant.status().code(), grant.status().message());
     if (epoch != 0 && grant->counter != epoch) return fence_stale_epoch();
@@ -1932,9 +1944,8 @@ class ControlEngine {
     // snapshot can never be opened twice. The outer counter field is only a
     // hint; tampering with it yields a key for the wrong counter value and
     // the MAC check below rejects the payload.
-    auto grant = counter_key_exchange(*cmd.channel, "OPENGRANT",
-                                      envelope->counter,
-                                      cmd.channel_timeout_ns);
+    auto grant =
+        counter_key_exchange(*cmd.channel, "OPENGRANT", envelope->counter);
     if (!grant.ok())
       return fail(grant.status().code(), grant.status().message());
     cmd.blob = std::move(envelope->inner);
@@ -1957,8 +1968,7 @@ class ControlEngine {
     if (self_destroyed())
       return fail(ErrorCode::kAborted, "enclave has self-destroyed");
     uint64_t epoch = env_->read_u64(kOffCounterEpoch);
-    auto grant = counter_key_exchange(*cmd.channel, "ADVANCE", epoch,
-                                      cmd.channel_timeout_ns);
+    auto grant = counter_key_exchange(*cmd.channel, "ADVANCE", epoch);
     if (!grant.ok()) {
       // A refusal means the lease is gone: another instance advanced past
       // us. Fence conservatively — a forged refusal only achieves what the
@@ -1982,8 +1992,8 @@ class ControlEngine {
     if (!cmd.channel.has_value())
       return fail(ErrorCode::kInvalidArgument, "no channel");
     crypto::Digest src_mre{};
-    auto key = key_from_source(*cmd.channel, cmd.channel_timeout_ns,
-                               /*check_source_mre=*/false, &src_mre);
+    auto key = key_from_source(*cmd.channel, /*check_source_mre=*/false,
+                               &src_mre);
     if (!key.ok()) return fail(key.status().code(), key.status().message());
     if (key->size() != 32)
       return fail(ErrorCode::kInvalidArgument, "bad key size");
@@ -2050,8 +2060,7 @@ class ControlEngine {
   ControlReply provision(ControlCmd& cmd) {
     if (!cmd.channel.has_value())
       return fail(ErrorCode::kInvalidArgument, "no owner channel");
-    auto prov_key =
-        owner_key_exchange(*cmd.channel, "PROVISION", cmd.channel_timeout_ns);
+    auto prov_key = owner_key_exchange(*cmd.channel, "PROVISION");
     if (!prov_key.ok()) return fail(prov_key.status().code(),
                                     prov_key.status().message());
     // Decrypt the embedded identity private key and validate it against the

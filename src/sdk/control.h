@@ -116,10 +116,6 @@ struct ControlCmd {
   };
   Type type = Type::kShutdown;
   std::optional<sim::Channel::End> channel;  // network peer for this command
-  // Bound (virtual time) on every blocking channel recv this command
-  // performs. A quiet peer yields kDeadlineExceeded instead of wedging the
-  // control thread — and with it the one-command-at-a-time mailbox — forever.
-  uint64_t channel_timeout_ns = 5'000'000'000;  // 5 s
   crypto::CipherAlg cipher = crypto::CipherAlg::kRc4;
   Bytes blob;  // checkpoint in (restore paths)
   // §VII-A side-channel mitigation: pad the checkpoint so its size does not

@@ -80,9 +80,8 @@ TEST(FaultEngine, SeverMidPrecopyTerminatesBothSidesInBoundedTime) {
       << r.target.status().to_string();
   // Source gives up after its bounded retries; target after its quiet-link
   // timeout. Neither waits on the other (the severed link never heals).
-  hv::MigrationParams p;
-  EXPECT_LT(r.source_end_ns, p.target_recv_timeout_ns);
-  EXPECT_LT(r.target_end_ns, 2 * p.target_recv_timeout_ns);
+  EXPECT_LT(r.source_end_ns, hv::kTargetRecvTimeoutNs);
+  EXPECT_LT(r.target_end_ns, 2 * hv::kTargetRecvTimeoutNs);
   EXPECT_GE(plan.faults_fired(), 1u);
 }
 

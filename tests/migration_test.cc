@@ -324,5 +324,29 @@ TEST(EnclaveMigration, TamperedCheckpointRejected) {
   });
 }
 
+// A source that was never provisioned cannot sign the key reply. It must
+// refuse the request up front, like every other pre-request refusal, rather
+// than leave the target waiting out its whole channel timeout.
+TEST(EnclaveMigration, UnprovisionedSourceRefusesKeyRequestPromptly) {
+  MigrationBed bed;
+  auto host = bed.make_host();
+  bed.run([&](sim::ThreadCtx& ctx) {
+    ASSERT_TRUE(host->create(ctx).ok());
+    EnclaveMigrator migrator(bed.world);
+    EnclaveMigrateOptions opts;
+    auto ckpt = migrator.prepare(ctx, *host, opts);
+    ASSERT_TRUE(ckpt.ok()) << ckpt.status().to_string();
+    auto source_inst = host->detach_instance();
+
+    bed.guest.set_migration_target(*bed.target);
+    ASSERT_TRUE(bed.guest.resume_enclaves_after_migration(ctx).ok());
+    uint64_t start = ctx.now();
+    Status st = migrator.restore(ctx, *host, *bed.source, source_inst,
+                                 std::move(*ckpt), opts);
+    EXPECT_EQ(st.code(), ErrorCode::kFailedPrecondition) << st.to_string();
+    EXPECT_LT(ctx.now() - start, 1'000'000'000u);
+  });
+}
+
 }  // namespace
 }  // namespace mig::migration

@@ -160,6 +160,46 @@ TEST(WxLimitation, NonReadablePageMakesEnclaveUnmigratable) {
   ASSERT_TRUE(bed.world.executor().run());
 }
 
+TEST(WxLimitation, FailedOwnerCheckpointLeavesEnclaveRunning) {
+  // The owner-keyed snapshot raises the global flag to quiesce the workers,
+  // then fails at the W+X page. A snapshot is not a migration: the failure
+  // must lower the flag again, or every later ecall spins forever.
+  PadBed bed;
+  migration::EnclaveOwner owner(bed.world.ias(), crypto::Drbg(to_bytes("o")));
+  BuildInput in;
+  in.program = heap_user_prog();
+  in.include_wx_page = true;
+  BuildOutput built = build_enclave_image(in, bed.signer,
+                                          bed.world.ias().service_pk(),
+                                          bed.rng);
+  owner.enroll(built.image.measure(), built.owner);
+  EnclaveHost host(bed.guest, *bed.proc, std::move(built), bed.world.ias(),
+                   bed.rng.fork(to_bytes("h2")));
+  bool ecall_returned = false;
+  bed.world.executor().spawn("t", [&](sim::ThreadCtx& ctx) {
+    ASSERT_TRUE(host.create(ctx).ok());
+    auto ch = bed.world.make_channel();
+    bed.world.executor().spawn("owner", [&, c = ch.get()](sim::ThreadCtx& t) {
+      owner.serve_one(t, c->b());
+    });
+    ControlCmd ckpt;
+    ckpt.type = ControlCmd::Type::kOwnerCheckpoint;
+    ckpt.channel = ch->a();
+    ControlReply reply = host.mailbox().post(ctx, ckpt);
+    EXPECT_EQ(reply.status.code(), ErrorCode::kPermissionDenied)
+        << reply.status.to_string();
+    Writer grow;
+    grow.u64(64);
+    EXPECT_TRUE(host.ecall(ctx, 0, 1, grow.data()).ok());
+    ecall_returned = true;
+  });
+  // A wedged enclave never drains the executor: stop at 1 s virtual.
+  ASSERT_TRUE(bed.world.executor().run_until(1'000'000'000));
+  EXPECT_TRUE(ecall_returned);
+  // Unwind a still-spinning ecall while `host` is alive.
+  bed.world.executor().shutdown();
+}
+
 TEST(WxLimitation, HardwareAssistedPathMigratesWxPages) {
   // The §VII-B instructions export pages at hardware level: the W+X page is
   // no obstacle (one of the arguments for the proposal).

@@ -424,7 +424,7 @@ VmMigrationSession::~VmMigrationSession() {
 void VmMigrationSession::manage(sdk::EnclaveHost& host) {
   guestos::Process* proc = &host.process();
   auto [it, inserted] = managed_.try_emplace(proc);
-  it->second.push_back(ManagedEnclave{&host, {}, nullptr});
+  it->second.emplace_back().host = &host;
   if (inserted) {
     proc->register_migration_handlers(
         [this, proc](sim::ThreadCtx& c) { return prepare_process(c, proc); },

@@ -123,13 +123,15 @@ class ControlEngine {
       case ControlCmd::Type::kNaiveDump: return naive_dump(cmd);
       case ControlCmd::Type::kShutdown: return {};
     }
-    return {Error(ErrorCode::kInvalidArgument, "unknown command"), {}, {}};
+    return fail(ErrorCode::kInvalidArgument, "unknown command");
   }
 
  private:
   // ---- small helpers -------------------------------------------------------
   ControlReply fail(ErrorCode code, std::string msg) {
-    return {Error(code, std::move(msg)), {}, {}};
+    ControlReply reply;
+    reply.status = Error(code, std::move(msg));
+    return reply;
   }
 
   uint64_t num_workers() const { return l_->params.num_workers; }

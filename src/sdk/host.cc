@@ -268,8 +268,9 @@ Status EnclaveHost::pump_cssa(sim::ThreadCtx& ctx, uint64_t worker_idx,
     MIG_RETURN_IF_ERROR(rax.status());
     EnclaveRuntime rt(ctx, *this, worker_idx, ht.core);
     try {
-      rt.run_entry(*rax, /*id=*/0, {});
-      // Pump mode must AEX; reaching here means the enclave is not pumping.
+      // Pump mode must AEX, so run_entry never returns a result to use:
+      // returning at all means the enclave is not pumping.
+      (void)rt.run_entry(*rax, /*id=*/0, {});
       return Error(ErrorCode::kFailedPrecondition, "enclave not in pump mode");
     } catch (const AexSignal&) {
       // Expected: one EENTER+AEX cycle == CSSA += 1.

@@ -2,12 +2,12 @@
 
 #include <cxxabi.h>
 #include <sys/mman.h>
-#include <ucontext.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cstring>
 #include <limits>
+#include <new>
 
 #if defined(__SANITIZE_ADDRESS__)
 #include <sanitizer/common_interface_defs.h>
@@ -18,6 +18,65 @@
 
 #include "obs/metrics.h"
 
+#if !defined(__x86_64__)
+#error "port mig_fiber_switch and mig_fiber_entry in sim/executor.cc to this architecture"
+#endif
+
+// Fiber switching for the x86-64 System V psABI.
+//
+// mig_fiber_switch(save_sp, load_sp) pushes the state the psABI makes
+// callee-saved (rbx, rbp, r12-r15, MXCSR and the x87 control word) on the
+// running stack, stores the stack pointer in *save_sp, then loads load_sp
+// and pops the same state from there, so it returns into the context that
+// was switched out at load_sp. Nothing else needs saving: the psABI makes
+// every other register and floating-point status bit caller-saved, and no
+// sim thread changes the signal mask. It makes no system call, and it does
+// not switch CET shadow stacks.
+//
+// mig_fiber_entry is where a new fiber's first switch returns to (see
+// SwitchFrame): it calls r13(r12), i.e. Executor::fiber_main(thread), which
+// never returns.
+extern "C" void mig_fiber_switch(void** save_sp, void* load_sp) noexcept;
+extern "C" void mig_fiber_entry() noexcept;
+
+asm(R"(
+  .pushsection .text
+  .p2align 4
+  .type mig_fiber_switch, @function
+mig_fiber_switch:
+  pushq %rbp
+  pushq %rbx
+  pushq %r12
+  pushq %r13
+  pushq %r14
+  pushq %r15
+  subq $8, %rsp
+  stmxcsr (%rsp)
+  fnstcw 4(%rsp)
+  movq %rsp, (%rdi)
+  movq %rsi, %rsp
+  ldmxcsr (%rsp)
+  fldcw 4(%rsp)
+  addq $8, %rsp
+  popq %r15
+  popq %r14
+  popq %r13
+  popq %r12
+  popq %rbx
+  popq %rbp
+  ret
+  .size mig_fiber_switch, .-mig_fiber_switch
+
+  .p2align 4
+  .type mig_fiber_entry, @function
+mig_fiber_entry:
+  movq %r12, %rdi
+  callq *%r13
+  ud2
+  .size mig_fiber_entry, .-mig_fiber_entry
+  .popsection
+)");
+
 namespace mig::sim {
 
 namespace {
@@ -25,6 +84,17 @@ namespace {
 // A fiber's stack reserve, the same as a default pthread stack. Pages are
 // committed only when touched, so the reserve costs address space, not RSS.
 constexpr size_t kStackBytes = 8u << 20;
+
+// What mig_fiber_switch leaves at a switched-out context's stack pointer,
+// lowest address first.
+struct SwitchFrame {
+  uint32_t mxcsr = 0;
+  uint16_t x87_cw = 0;
+  uint16_t pad = 0;
+  uintptr_t r15 = 0, r14 = 0, r13 = 0, r12 = 0, rbx = 0, rbp = 0;
+  uintptr_t ret = 0;
+};
+static_assert(sizeof(SwitchFrame) == 64);
 
 // The Itanium C++ ABI keeps the caught-exception stack and the uncaught
 // count per OS thread (`__cxa_eh_globals`). Fibers share one OS thread, so a
@@ -46,7 +116,7 @@ void swap_eh_globals(EhGlobals& save, const EhGlobals& load) {
 
 struct Executor::Fiber {
   // The scheduler's context: it runs on the stack of the thread that called
-  // run(), and swapcontext() fills it in on the first switch away.
+  // run(), and its first switch away stores its stack pointer.
   Fiber() = default;
 
   // A sim thread's context: maps its stack (with a guard page below it) and
@@ -60,13 +130,18 @@ struct Executor::Fiber {
                   "cannot map a stack for '" << t->name << "'");
     stack = static_cast<char*>(base);
     MIG_CHECK(mprotect(stack, guard_bytes, PROT_NONE) == 0);
-    MIG_CHECK(getcontext(&uc) == 0);
-    uc.uc_stack.ss_sp = stack + guard_bytes;
-    uc.uc_stack.ss_size = kStackBytes;
-    uc.uc_link = nullptr;
-    auto bits = reinterpret_cast<uintptr_t>(t);
-    makecontext(&uc, reinterpret_cast<void (*)()>(&Executor::fiber_main), 2,
-                static_cast<uint32_t>(bits >> 32), static_cast<uint32_t>(bits));
+    // The first switch pops this frame from the page-aligned stack top, so
+    // mig_fiber_entry calls fiber_main with the stack aligned as the psABI
+    // requires. The floating-point control words are this (the creating)
+    // context's, and rbp = 0 ends a frame-pointer walk at the fiber's base.
+    char* top = stack + guard_bytes + kStackBytes;
+    auto* frame = ::new (top - sizeof(SwitchFrame)) SwitchFrame;
+    asm volatile("stmxcsr %0\n\tfnstcw %1"
+                 : "=m"(frame->mxcsr), "=m"(frame->x87_cw));
+    frame->r13 = reinterpret_cast<uintptr_t>(&Executor::fiber_main);
+    frame->r12 = reinterpret_cast<uintptr_t>(t);
+    frame->ret = reinterpret_cast<uintptr_t>(&mig_fiber_entry);
+    sp = frame;
     asan_bottom = stack + guard_bytes;
     asan_size = kStackBytes;
 #if defined(__SANITIZE_THREAD__)
@@ -99,13 +174,13 @@ struct Executor::Fiber {
     if (tsan_fiber == nullptr) tsan_fiber = __tsan_get_current_fiber();
     __tsan_switch_to_fiber(to.tsan_fiber, 0);
 #endif
-    swapcontext(&uc, &to.uc);
+    mig_fiber_switch(&sp, to.sp);
 #if defined(__SANITIZE_ADDRESS__)
     __sanitizer_finish_switch_fiber(asan_fake_stack, nullptr, nullptr);
 #endif
   }
 
-  ucontext_t uc{};
+  void* sp = nullptr;  // the stack pointer while switched out
   EhGlobals eh;
   char* stack = nullptr;  // mapping base (guard page); null for the scheduler
   size_t guard_bytes = 0;
@@ -117,9 +192,7 @@ struct Executor::Fiber {
   void* tsan_fiber = nullptr;
 };
 
-void Executor::fiber_main(uint32_t thread_hi, uint32_t thread_lo) noexcept {
-  auto* t = reinterpret_cast<SimThread*>((uintptr_t{thread_hi} << 32) |
-                                         thread_lo);
+void Executor::fiber_main(SimThread* t) noexcept {
   Executor& exec = t->ctx->executor();
 #if defined(__SANITIZE_ADDRESS__)
   // A new fiber has no fake stack; learn the scheduler's stack bounds.

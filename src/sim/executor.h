@@ -214,8 +214,8 @@ class Executor {
   // Sentinel for "no deadline" on a waiting thread.
   static constexpr uint64_t kNoDeadline = ~0ull;
 
-  // A saved execution context: machine registers, stack and C++ exception
-  // state (defined in executor.cc, so <ucontext.h> stays out of this header).
+  // A saved execution context: callee-saved registers, stack and C++
+  // exception state (defined in executor.cc, next to its register switch).
   struct Fiber;
 
   struct SimThread {
@@ -261,9 +261,8 @@ class Executor {
   bool step();
   bool drained() const;
 
-  // Entry point of every fiber; the two halves of its SimThread* are passed
-  // as ints because that is what makecontext() can forward.
-  static void fiber_main(uint32_t thread_hi, uint32_t thread_lo) noexcept;
+  // Entry point of every fiber: its first switch runs fiber_main(its thread).
+  static void fiber_main(SimThread* t) noexcept;
 
   std::unique_ptr<Fiber> scheduler_;  // the context run() switches from
   std::vector<std::unique_ptr<SimThread>> threads_;

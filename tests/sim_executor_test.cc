@@ -1,11 +1,12 @@
 // Tests for the deterministic cooperative executor: virtual-time accounting,
 // multi-CPU contention, events, preemption hooks, suspension, kill, shutdown
-// and per-fiber exception state.
+// and per-fiber exception and floating-point control state.
 #include "sim/executor.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cfenv>
 #include <exception>
 #include <vector>
 
@@ -233,6 +234,40 @@ TEST(Executor, CatchHandlerSurvivesSchedulingPoint) {
   EXPECT_EQ(rethrown, (std::vector<int>{0, 1}));
   EXPECT_EQ(uncaught, (std::vector<int>{0, 0}));
   EXPECT_EQ(std::uncaught_exceptions(), 0);
+}
+
+TEST(Executor, FloatingPointControlStateIsPerFiber) {
+  // The psABI makes the rounding mode callee-saved, in two places: the x87
+  // control word (what fegetround() reads) and MXCSR (what SSE double
+  // arithmetic obeys). A fiber that changes it keeps it across its switches
+  // and changes it for nobody else.
+  volatile double one = 1.0, three = 3.0;
+  const double nearest_third = one / three;
+  Executor exec(1);
+  int a_round = -1, b_round = -1;
+  double a_third = 0, b_third = 0;
+  // Both fibers are started before "a" changes the mode, so "b" is resumed,
+  // not freshly entered, under it.
+  exec.spawn("a", [&](ThreadCtx& ctx) {
+    ctx.yield();
+    ASSERT_EQ(std::fesetround(FE_UPWARD), 0);
+    ctx.yield();
+    a_round = std::fegetround();
+    a_third = one / three;
+  });
+  exec.spawn("b", [&](ThreadCtx& ctx) {
+    ctx.yield();
+    b_round = std::fegetround();
+    b_third = one / three;
+  });
+  ASSERT_TRUE(exec.run());
+  EXPECT_EQ(a_round, FE_UPWARD);
+  EXPECT_GT(a_third, nearest_third);
+  EXPECT_EQ(b_round, FE_TONEAREST);
+  EXPECT_EQ(b_third, nearest_third);
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+  EXPECT_EQ(one / three, nearest_third);
+  std::fesetround(FE_TONEAREST);  // leave later tests the default, pass or fail
 }
 
 TEST(Executor, ShutdownUnwindsParkedThreadsAndSkipsUnstarted) {

@@ -1,5 +1,7 @@
 #include "sdk/enclave_env.h"
 
+#include <array>
+
 #include "util/check.h"
 #include "util/serde.h"
 
@@ -8,6 +10,16 @@ namespace mig::sdk {
 namespace {
 // Heap bump pointer lives in the meta page so it checkpoints with the rest.
 constexpr uint64_t kOffHeapNext = 40;
+
+// One enclave word, staged on the stack. Words are little-endian, as
+// Writer::u64 lays them out and Reader::u64 reads them.
+using Word = std::array<uint8_t, 8>;
+
+Word store_word(uint64_t v) {
+  Word b{};
+  for (int i = 0; i < 8; ++i) b[i] = static_cast<uint8_t>(v >> (8 * i));
+  return b;
+}
 }  // namespace
 
 Bytes serialize_ctx(CtxKind kind, uint64_t thread_idx) {
@@ -55,15 +67,15 @@ void EnclaveEnv::force_aex(CtxKind kind) {
 }
 
 uint64_t EnclaveEnv::read_u64(uint64_t off) {
-  Bytes b = read_bytes(off, 8);
+  Word b{};
+  Status st = hw_->enclave_read(*ctx_, *core_, kEnclaveBase + off, b);
+  MIG_CHECK_MSG(st.ok(), "enclave read @" << off << ": " << st.to_string());
   Reader r(b);
   return r.u64();
 }
 
 void EnclaveEnv::write_u64(uint64_t off, uint64_t value) {
-  Writer w;
-  w.u64(value);
-  write_bytes(off, w.data());
+  write_bytes(off, store_word(value));
 }
 
 Bytes EnclaveEnv::read_bytes(uint64_t off, size_t n) {
@@ -98,13 +110,12 @@ void EnclaveEnv::track_write(uint64_t off, size_t n) {
   uint64_t last = (off + n - 1) / sgx::kPageSize;
   for (uint64_t page = first; page <= last; ++page) {
     uint64_t slot = layout_->track_off + page * 8;
-    Bytes cur(8);
+    Word cur{};
     Status st = hw_->enclave_read(*ctx_, *core_, kEnclaveBase + slot, cur);
     MIG_CHECK_MSG(st.ok(), "track read: " << st.to_string());
     Reader r(cur);
-    Writer w;
-    w.u64(r.u64() + 1);
-    st = hw_->enclave_write(*ctx_, *core_, kEnclaveBase + slot, w.data());
+    st = hw_->enclave_write(*ctx_, *core_, kEnclaveBase + slot,
+                            store_word(r.u64() + 1));
     MIG_CHECK_MSG(st.ok(), "track write: " << st.to_string());
     ctx_->work(cm.delta_track_write_ns);
   }

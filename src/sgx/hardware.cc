@@ -27,7 +27,10 @@ Bytes paging_nonce(uint64_t version, uint64_t lin_addr) {
 SgxHardware::SgxHardware(sim::Executor& executor, const sim::CostModel& cost,
                          crypto::Drbg key_seed, HardwareConfig config)
     : executor_(&executor), cost_(&cost), config_(std::move(config)) {
-  epc_.resize(config_.epc_pages);
+  // Slots are appended up to the high-water mark as pages are allocated, so
+  // a machine does not zero-fill an EPC it never uses. The reserve means no
+  // append moves a slot: an EpcPage& stays valid.
+  epc_.reserve(config_.epc_pages);
   paging_key_ = key_seed.fork(to_bytes("paging")).generate(32);
   paging_mac_key_ = key_seed.fork(to_bytes("paging-mac")).generate(32);
   report_key_root_ = key_seed.fork(to_bytes("report")).generate(32);
@@ -42,7 +45,10 @@ Result<size_t> SgxHardware::alloc_slot() {
       return i;
     }
   }
-  return Error(ErrorCode::kResourceExhausted, "EPC full");
+  if (epc_.size() == config_.epc_pages)
+    return Error(ErrorCode::kResourceExhausted, "EPC full");
+  epc_.emplace_back().valid = true;
+  return epc_.size() - 1;
 }
 
 SgxHardware::Enclave* SgxHardware::find(EnclaveId eid) {
@@ -588,7 +594,7 @@ Result<Bytes> SgxHardware::egetkey(sim::ThreadCtx& ctx, const CoreState& core,
 // ------------------------------------------------------------ introspection
 
 uint64_t SgxHardware::free_epc_pages() const {
-  uint64_t n = 0;
+  uint64_t n = config_.epc_pages - epc_.size();  // never allocated yet
   for (const auto& p : epc_)
     if (!p.valid) ++n;
   return n;

@@ -241,6 +241,8 @@ class SgxHardware {
   Bytes migration_enc_key_;
   Bytes migration_mac_key_;
 
+  // Slots up to the high-water mark of allocated pages; capacity is reserved
+  // for the whole configured EPC.
   std::vector<EpcPage> epc_;
   std::map<EnclaveId, Enclave> enclaves_;
   std::map<uint64_t, size_t> va_pages_;  // va id -> EPC slot

@@ -289,7 +289,7 @@ bool Executor::drained() const {
   return true;
 }
 
-bool Executor::step() {
+Executor::SimThread* Executor::pick(uint64_t& start) {
   // Earliest-start-first among runnable threads; ties broken by id for
   // determinism. All CPUs are identical, so a burst starts at
   // max(thread.ready_at, earliest-free CPU).
@@ -318,19 +318,34 @@ bool Executor::step() {
       best = t.get();
     }
   }
-  if (best == nullptr) return false;
-  best->last_sched = stats_.slices + 1;
+  start = best_start;
+  return best;
+}
 
-  sched_now_ = std::max(sched_now_, best_start);
-  best->vtime = std::max(best->vtime, best_start);
-  best->state = State::kRunning;
-  running_ = best->id;
-  ++stats_.slices;
+void Executor::begin_slice(SimThread& t, uint64_t start) {
+  t.last_sched = ++stats_.slices;
+  sched_now_ = std::max(sched_now_, start);
+  t.vtime = std::max(t.vtime, start);
+  t.state = State::kRunning;
+  running_ = t.id;
+}
 
-  if (best->fiber == nullptr) best->fiber = std::make_unique<Fiber>(best);
-  scheduler_->switch_to(*best->fiber);
+bool Executor::run_goes_on() const {
+  return !drained() && sched_now_ < deadline_;
+}
+
+bool Executor::step() {
+  uint64_t start = 0;
+  SimThread* t = pick(start);
+  if (t == nullptr) return false;
+  begin_slice(*t, start);
+  if (t->fiber == nullptr) t->fiber = std::make_unique<Fiber>(t);
+  ++stats_.switches;
+  // Returns once the thread stops at a scheduling point that picks another
+  // thread (or ends the loop), or when it finishes.
+  scheduler_->switch_to(*t->fiber);
   running_ = kInvalidThread;
-  if (best->state == State::kFinished) best->fiber.reset();  // unmaps its stack
+  if (t->state == State::kFinished) t->fiber.reset();  // unmaps its stack
   return true;
 }
 
@@ -342,6 +357,7 @@ bool Executor::run() {
 
 bool Executor::run_until(uint64_t deadline_ns) {
   MIG_CHECK_MSG(running_ == kInvalidThread, "run() called from a sim thread");
+  deadline_ = deadline_ns;
   // Scheduling stats fold into the metrics registry when the run ends, so a
   // traced capture carries the executor's view of the same interval.
   auto publish = [&] {
@@ -353,7 +369,7 @@ bool Executor::run_until(uint64_t deadline_ns) {
     m.set_gauge("sim.threads", threads_.size());
   };
   for (;;) {
-    if (drained() || sched_now_ >= deadline_ns) {
+    if (!run_goes_on()) {
       publish();
       return true;
     }
@@ -450,7 +466,16 @@ void Executor::reschedule(SimThread& t) {
   auto it = std::min_element(cpu_free_.begin(), cpu_free_.end());
   *it = std::max(*it, t.cpu_release);
 
-  t.fiber->switch_to(*scheduler_);
+  // If the scheduler loop would go on and pick this thread again, make that
+  // decision here rather than switching to the scheduler and back.
+  // shutdown()'s loop goes on while any thread is live, and this one is.
+  uint64_t start = 0;
+  if (t.state == State::kRunnable && (shutting_down_ || run_goes_on()) &&
+      pick(start) == &t) {
+    begin_slice(t, start);
+  } else {
+    t.fiber->switch_to(*scheduler_);
+  }
   check_kill(t);
 }
 

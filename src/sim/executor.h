@@ -11,7 +11,9 @@
 //    thread that calls run(), exactly one at a time, and handoff happens
 //    only at explicit points (work/sleep/yield/wait), so the whole
 //    simulation is deterministic: same seed + same program = same
-//    interleaving = same virtual timings.
+//    interleaving = same virtual timings. Every scheduling point is one
+//    scheduling decision (a slice); when that decision picks the thread
+//    that just stopped, it is made in place and costs no fiber switch.
 //
 //  * Virtual time: a thread charges CPU time with ctx.work(ns). The executor
 //    schedules bursts onto `num_cpus` model CPUs (earliest-free CPU first),
@@ -141,6 +143,9 @@ class Event {
 struct ExecutorStats {
   uint64_t slices = 0;       // scheduling decisions made
   uint64_t preemptions = 0;  // quantum-boundary hook invocations
+  // Scheduler-to-fiber switches. A decision that picks the thread which
+  // just stopped costs none, so this is at most `slices`.
+  uint64_t switches = 0;
 };
 
 class Executor {
@@ -247,17 +252,29 @@ class Executor {
   bool thread_wait_event_until(SimThread& t, Event& ev, uint64_t deadline_ns);
   void event_set(SimThread* setter, Event& ev);
 
-  // Switches back to the scheduler; returns once the thread is scheduled
-  // again (it is then kRunning).
+  // Ends the thread's slice at a scheduling point; returns once the thread
+  // is scheduled again (it is then kRunning). If the scheduler loop would go
+  // on and pick() this thread anyway, the decision is made here without
+  // switching to the scheduler and back.
   void reschedule(SimThread& t);
   void check_kill(SimThread& t);
 
   SimThread& get(ThreadId id);
   const SimThread& get(ThreadId id) const;
 
-  // -- scheduler core (runs on the thread that called run()) --
-  // Picks the next runnable thread and switches to it until it reaches its
-  // next scheduling point; returns false if nothing is runnable.
+  // -- scheduler core --
+  // The thread the next slice goes to and the virtual time it starts at;
+  // null if nothing is runnable. The one scheduling rule: step() and
+  // reschedule() both decide with it.
+  SimThread* pick(uint64_t& start);
+  // Records the decision to run `t` from `start`: one slice.
+  void begin_slice(SimThread& t, uint64_t start);
+  // Whether run_until()'s loop takes another step now: a non-daemon thread
+  // is unfinished and the deadline is not reached.
+  bool run_goes_on() const;
+  // Runs on the thread that called run(): picks the next thread and switches
+  // to it; returns once that thread finishes or stops at a scheduling point
+  // that does not pick it again. Returns false if nothing is runnable.
   bool step();
   bool drained() const;
 
@@ -269,6 +286,7 @@ class Executor {
   std::vector<uint64_t> cpu_free_;
   uint64_t quantum_ns_;
   uint64_t sched_now_ = 0;
+  uint64_t deadline_ = 0;  // of the run_until() in progress
   ThreadId next_id_ = 1;
   ThreadId running_ = kInvalidThread;
   bool shutting_down_ = false;

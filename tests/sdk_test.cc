@@ -1,6 +1,7 @@
 // SDK integration tests: image build + measurement, enclave creation through
 // the guest driver, resumable ecalls with real AEX/ERESUME cycles, the
-// two-phase checkpointing protocol, and checkpoint sealing.
+// two-phase checkpointing protocol, checkpoint sealing, and the word access
+// and delta-tracking write path of EnclaveEnv.
 #include <gtest/gtest.h>
 
 #include "hv/machine.h"
@@ -299,6 +300,76 @@ TEST(SdkHost, MigrationSupportOffSkipsInstrumentation) {
     Reader rd(*r);
     EXPECT_EQ(rd.u64(), 9u);
   });
+}
+
+// The word path and the delta-tracking bump, checked from inside an ecall:
+// which page counters a write moves, and how much virtual time it charges.
+TEST(EnclaveEnv, TrackedWriteBumpsEachTouchedPageOnce) {
+  constexpr uint64_t kEcallProbe = 1;
+  bool probed = false;
+  auto prog = std::make_shared<EnclaveProgram>("track-probe");
+  prog->add_ecall(kEcallProbe, "probe", [&](EnclaveEnv& env, Frame&) {
+    const Layout& l = env.layout();
+    const uint64_t track_ns = env.cost().delta_track_write_ns;
+    auto version = [&](uint64_t off) {
+      return env.read_u64(l.track_off + off / sgx::kPageSize * 8);
+    };
+    auto charged = [&](auto&& write) {
+      uint64_t before = env.ctx().now();
+      write();
+      return env.ctx().now() - before;
+    };
+    const uint64_t word = l.data_off + 16;
+    const uint64_t value = 0x0807060504030201;
+
+    // Tracking off: the write lands, no counter moves, nothing is charged.
+    env.write_u64(kOffDeltaTracking, 0);
+    EXPECT_EQ(charged([&] { env.write_u64(word, value); }), 0u);
+    EXPECT_EQ(version(word), 0u);
+    EXPECT_EQ(env.read_u64(word), value);
+    EXPECT_EQ(env.read_bytes(word, 8),
+              (Bytes{0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08}));
+
+    // Arming the flag is itself not tracked.
+    EXPECT_EQ(charged([&] { env.write_u64(kOffDeltaTracking, 1); }), 0u);
+    EXPECT_EQ(version(kOffDeltaTracking), 0u);
+
+    // One word: its page moves by exactly one, for one track charge.
+    EXPECT_EQ(charged([&] { env.write_u64(word, value + 1); }), track_ns);
+    EXPECT_EQ(version(word), 1u);
+    EXPECT_EQ(env.read_u64(word), value + 1);
+
+    // 16 bytes across a page boundary: both pages, one charge each.
+    const uint64_t second_page = l.data_off + sgx::kPageSize;
+    EXPECT_EQ(charged([&] {
+                env.write_bytes(second_page - 8, Bytes(16, 0xab));
+              }),
+              2 * track_ns);
+    EXPECT_EQ(version(second_page - 8), 2u);
+    EXPECT_EQ(version(second_page), 1u);
+    EXPECT_EQ(env.read_u64(second_page - 8), 0xababababababababull);
+
+    // A write into the track region is stored as is, untracked.
+    EXPECT_EQ(charged([&] {
+                env.write_u64(l.track_off + second_page / sgx::kPageSize * 8,
+                              41);
+              }),
+              0u);
+    EXPECT_EQ(version(second_page), 41u);
+    EXPECT_EQ(version(kOffDeltaTracking), 0u);
+
+    env.write_u64(kOffDeltaTracking, 0);
+    probed = true;
+    return OkStatus();
+  });
+  TestBed bed;
+  auto host = bed.make_host(prog);
+  bed.run([&](sim::ThreadCtx& ctx) {
+    ASSERT_TRUE(host->create(ctx).ok());
+    auto r = host->ecall(ctx, 0, kEcallProbe, {});
+    ASSERT_TRUE(r.ok()) << r.status().to_string();
+  });
+  EXPECT_TRUE(probed);
 }
 
 }  // namespace

@@ -117,6 +117,44 @@ TEST(SgxEdge, VaSlotLifecycle) {
   });
 }
 
+TEST(SgxEdge, SmallEpcFillsRefusesAndFreesByPageCount) {
+  sim::Executor exec(1);
+  SgxHardware hw(exec, sim::default_cost_model(), Drbg(to_bytes("seed")),
+                 HardwareConfig{.machine_name = "small", .epc_pages = 6});
+  EXPECT_EQ(hw.total_epc_pages(), 6u);
+  EXPECT_EQ(hw.free_epc_pages(), 6u);
+  exec.spawn("t", [&](sim::ThreadCtx& ctx) {
+    auto eid = hw.ecreate(ctx, kBase, 8 * kPageSize, 1, 1);  // SECS: 1 page
+    ASSERT_TRUE(eid.ok());
+    EXPECT_EQ(hw.free_epc_pages(), 5u);
+    int added = 0;
+    Status st = OkStatus();
+    while (added < 8) {
+      st = hw.eadd(ctx, *eid, kBase + added * kPageSize, PageType::kReg,
+                   Perms::rw(), {});
+      if (!st.ok()) break;
+      ++added;
+    }
+    EXPECT_EQ(st.code(), ErrorCode::kResourceExhausted);
+    EXPECT_EQ(added, 5);
+    EXPECT_EQ(hw.free_epc_pages(), 0u);
+
+    // EREMOVE frees the slot, and the next EADD reuses it.
+    ASSERT_TRUE(hw.eremove_page(ctx, *eid, kBase + 2 * kPageSize).ok());
+    EXPECT_EQ(hw.free_epc_pages(), 1u);
+    EXPECT_TRUE(hw.eadd(ctx, *eid, kBase + 5 * kPageSize, PageType::kReg,
+                        Perms::rw(), {}).ok());
+    EXPECT_EQ(hw.free_epc_pages(), 0u);
+    EXPECT_EQ(hw.eadd(ctx, *eid, kBase + 6 * kPageSize, PageType::kReg,
+                      Perms::rw(), {}).code(),
+              ErrorCode::kResourceExhausted);
+
+    ASSERT_TRUE(hw.eremove_enclave(ctx, *eid).ok());
+    EXPECT_EQ(hw.free_epc_pages(), 6u);
+  });
+  ASSERT_TRUE(exec.run());
+}
+
 TEST(SgxEdge, ReportMacDoesNotVerifyOnAnotherMachine) {
   // Local attestation is machine-local: a report produced on machine A is
   // garbage to machine B's quoting enclave.

@@ -1,6 +1,7 @@
 // Tests for the deterministic cooperative executor: virtual-time accounting,
-// multi-CPU contention, events, preemption hooks, suspension, kill, shutdown
-// and per-fiber exception and floating-point control state.
+// multi-CPU contention, events, preemption hooks, suspension, kill, shutdown,
+// per-fiber exception and floating-point control state, and a pinned
+// schedule.
 #include "sim/executor.h"
 
 #include <gtest/gtest.h>
@@ -350,6 +351,148 @@ TEST(Executor, RunUntilPausesAndResumes) {
   EXPECT_EQ(end_time, 0u);  // not yet finished
   ASSERT_TRUE(exec.run());
   EXPECT_EQ(end_time, 100'000u);
+}
+
+TEST(Executor, RunUntilStopsOnTheSameSlice) {
+  // The deadline is checked between slices: run_until returns after the
+  // slice that starts at the deadline, not one slice earlier or later.
+  Executor exec(1);
+  int returned = 0;
+  exec.spawn("t", [&](ThreadCtx& ctx) {
+    for (int i = 0; i < 100; ++i) {
+      ctx.work(1'000);
+      ++returned;
+    }
+  });
+  ASSERT_TRUE(exec.run_until(50'000));
+  EXPECT_EQ(returned, 50);
+  EXPECT_EQ(exec.sched_now(), 50'000u);
+  ASSERT_TRUE(exec.run());
+  EXPECT_EQ(returned, 100);
+  EXPECT_EQ(exec.sched_now(), 100'000u);
+}
+
+TEST(Executor, ScheduleIsPinned) {
+  // A fixed mix of every scheduling point on 2 CPUs. Each thread records
+  // (id, clock) whenever a scheduling point returns; the hash of that record
+  // and the executor's counters pin the exact schedule, so a change to how
+  // decisions are made (not only to what they cost) shows here.
+  Executor exec(2, /*quantum_ns=*/10'000);
+  std::vector<std::pair<ThreadId, uint64_t>> record;
+  auto note = [&](ThreadCtx& ctx) { record.emplace_back(ctx.id(), ctx.now()); };
+  Event go(exec), never(exec);
+  int hooks = 0;
+
+  exec.spawn("worker", [&](ThreadCtx& ctx) {
+    ctx.set_preempt_hook([&](ThreadCtx& c) {
+      ++hooks;
+      c.work(2'500);  // inside the hook: no nested preemption
+      note(c);
+    });
+    for (int i = 0; i < 4; ++i) {
+      ctx.work(23'000);  // two full quanta and a remainder
+      note(ctx);
+    }
+    ctx.set_preempt_hook(nullptr);
+    go.set(ctx);
+    ctx.work(7'000);
+    note(ctx);
+  });
+  exec.spawn("atomic", [&](ThreadCtx& ctx) {
+    for (int i = 0; i < 3; ++i) {
+      ctx.work_atomic(31'000);
+      note(ctx);
+      ctx.yield();
+      note(ctx);
+    }
+  });
+  exec.spawn("sleeper", [&](ThreadCtx& ctx) {
+    for (int i = 0; i < 3; ++i) {
+      ctx.sleep(17'000);
+      note(ctx);
+      ctx.work(4'000);
+      note(ctx);
+    }
+  });
+  exec.spawn("waiter", [&](ThreadCtx& ctx) {
+    go.wait(ctx);
+    note(ctx);
+    ctx.work(12'000);
+    note(ctx);
+  });
+  exec.spawn("timer", [&](ThreadCtx& ctx) {
+    EXPECT_FALSE(never.wait_until(ctx, 45'000));
+    note(ctx);
+    EXPECT_TRUE(go.wait_until(ctx, 1'000'000));
+    note(ctx);
+  });
+  exec.spawn("parent", [&](ThreadCtx& ctx) {
+    ctx.work(9'000);
+    note(ctx);
+    exec.spawn("child", [&](ThreadCtx& c) {
+      for (int i = 0; i < 5; ++i) {
+        c.work(3'000);
+        note(c);
+        c.yield();
+        note(c);
+      }
+    });
+    ctx.work(6'000);
+    note(ctx);
+  });
+  exec.spawn(
+      "daemon",
+      [&](ThreadCtx& ctx) {
+        for (;;) {
+          ctx.work(5'000);
+          note(ctx);
+        }
+      },
+      /*daemon=*/true);
+  ASSERT_TRUE(exec.run());
+
+  uint64_t hash = 1469598103934665603ull;  // FNV-1a over the record
+  auto mix = [&](uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      hash ^= (v >> (8 * i)) & 0xff;
+      hash *= 1099511628211ull;
+    }
+  };
+  for (const auto& [id, now] : record) {
+    mix(id);
+    mix(now);
+  }
+  EXPECT_EQ(record.size(), 63u);
+  EXPECT_EQ(hash, 4280880230980698973ull);
+  EXPECT_EQ(exec.stats().slices, 80u);
+  EXPECT_EQ(exec.stats().preemptions, 8u);
+  EXPECT_EQ(hooks, 8);
+}
+
+TEST(Executor, RepickedThreadDoesNotSwitch) {
+  {
+    // A lone thread is picked again at every scheduling point: each one
+    // still counts as a slice, but only its first slice switches to it.
+    Executor exec(1);
+    exec.spawn("lone", [&](ThreadCtx& ctx) {
+      for (int i = 0; i < 10'000; ++i) ctx.work(1);
+    });
+    ASSERT_TRUE(exec.run());
+    EXPECT_EQ(exec.stats().slices, 10'001u);
+    EXPECT_LE(exec.stats().switches, 2u);
+  }
+  {
+    // Two threads sharing one CPU alternate, so every slice is a switch.
+    Executor exec(1);
+    for (int k = 0; k < 2; ++k) {
+      exec.spawn("pair", [&](ThreadCtx& ctx) {
+        for (int i = 0; i < 100; ++i) ctx.work(1'000);
+      });
+    }
+    ASSERT_TRUE(exec.run());
+    EXPECT_EQ(exec.stats().slices, 202u);
+    EXPECT_EQ(exec.stats().switches, exec.stats().slices);
+  }
 }
 
 TEST(Executor, SpawnFromSimThreadInheritsClock) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "crypto/kernels.h"
 #include "util/check.h"
 
 namespace mig::crypto {
@@ -307,58 +308,176 @@ bool less(const uint64_t* a, const uint64_t* b, size_t n) {
   return false;
 }
 
-// Montgomery multiplication modulo an odd m of n 64-bit words, R = 2^(64n).
+// The last step of both product kernels: t (n words plus a top word) is
+// below 2m, so one conditional subtraction of m reduces it into out.
+void reduce_once(uint64_t* out, const uint64_t* t, uint64_t top,
+                 const uint64_t* m, size_t n) {
+  if (top == 0 && less(t, m, n)) {
+    std::copy(t, t + n, out);
+    return;
+  }
+  uint64_t borrow = 0;
+  for (size_t i = 0; i < n; ++i) {
+    u128 d = u128{t[i]} - m[i] - borrow;
+    out[i] = static_cast<uint64_t>(d);
+    borrow = static_cast<uint64_t>(d >> 64) & 1;
+  }
+}
+
+// t[0..n) += x * v[0..n); returns the carry word. MULX leaves the flags
+// alone, so two carry chains run side by side: ADCX (CF) adds the previous
+// product's high half, ADOX (OF) adds t[j]. Loop control uses only lea and
+// jrcxz, which leave CF and OF alone too: rcx counts up to zero, first over
+// the n % 4 single steps, then over the groups of four. The carry word is
+// the last high half plus both pending flags; it cannot overflow because
+// t + x * v < 2^(64(n+1)).
+__attribute__((always_inline)) inline uint64_t mul_add_row(uint64_t* t,
+                                                           const uint64_t* v,
+                                                           uint64_t x,
+                                                           size_t n) {
+  uint64_t hi, hi2, lo;
+  int64_t count = -static_cast<int64_t>(n % 4);
+  const int64_t groups = -static_cast<int64_t>(n / 4);
+  asm volatile(
+      "xorl %k[hi], %k[hi]\n\t"  // hi = 0, CF = OF = 0
+      "jmp 2f\n"
+      "1:\n\t"
+      "mulxq (%[v]), %[lo], %[hi2]\n\t"
+      "adcxq %[hi], %[lo]\n\t"
+      "adoxq (%[t]), %[lo]\n\t"
+      "movq %[lo], (%[t])\n\t"
+      "movq %[hi2], %[hi]\n\t"
+      "leaq 8(%[v]), %[v]\n\t"
+      "leaq 8(%[t]), %[t]\n\t"
+      "leaq 1(%%rcx), %%rcx\n"
+      "2:\n\t"
+      "jrcxz 3f\n\t"
+      "jmp 1b\n"
+      "3:\n\t"
+      "movq %[groups], %%rcx\n\t"
+      "jmp 5f\n"
+      "4:\n\t"
+      "mulxq (%[v]), %[lo], %[hi2]\n\t"
+      "adcxq %[hi], %[lo]\n\t"
+      "adoxq (%[t]), %[lo]\n\t"
+      "movq %[lo], (%[t])\n\t"
+      "mulxq 8(%[v]), %[lo], %[hi]\n\t"
+      "adcxq %[hi2], %[lo]\n\t"
+      "adoxq 8(%[t]), %[lo]\n\t"
+      "movq %[lo], 8(%[t])\n\t"
+      "mulxq 16(%[v]), %[lo], %[hi2]\n\t"
+      "adcxq %[hi], %[lo]\n\t"
+      "adoxq 16(%[t]), %[lo]\n\t"
+      "movq %[lo], 16(%[t])\n\t"
+      "mulxq 24(%[v]), %[lo], %[hi]\n\t"
+      "adcxq %[hi2], %[lo]\n\t"
+      "adoxq 24(%[t]), %[lo]\n\t"
+      "movq %[lo], 24(%[t])\n\t"
+      "leaq 32(%[v]), %[v]\n\t"
+      "leaq 32(%[t]), %[t]\n\t"
+      "leaq 1(%%rcx), %%rcx\n"
+      "5:\n\t"
+      "jrcxz 6f\n\t"
+      "jmp 4b\n"
+      "6:\n\t"
+      "adcxq %%rcx, %[hi]\n\t"  // rcx is zero here
+      "adoxq %%rcx, %[hi]"
+      : [hi] "=&r"(hi), [hi2] "=&r"(hi2), [lo] "=&r"(lo), [v] "+r"(v),
+        [t] "+r"(t), "+c"(count)
+      : "d"(x), [groups] "r"(groups)
+      : "cc", "memory");
+  return hi;
+}
+
+}  // namespace
+
+namespace kernels {
+
+void mont_mul_portable(uint64_t* out, const uint64_t* a, const uint64_t* b,
+                       const uint64_t* m, uint64_t m_inv, size_t n,
+                       uint64_t* t) {
+  // CIOS: each outer step adds a * b[i], then the multiple of m that
+  // clears the low word, and drops that word. t holds n + 2 words.
+  std::fill(t, t + n + 2, 0);
+  for (size_t i = 0; i < n; ++i) {
+    uint64_t c = 0;
+    for (size_t j = 0; j < n; ++j) {
+      u128 s = u128{a[j]} * b[i] + t[j] + c;
+      t[j] = static_cast<uint64_t>(s);
+      c = static_cast<uint64_t>(s >> 64);
+    }
+    u128 s = u128{t[n]} + c;
+    t[n] = static_cast<uint64_t>(s);
+    t[n + 1] = static_cast<uint64_t>(s >> 64);
+
+    uint64_t u = t[0] * m_inv;
+    c = static_cast<uint64_t>((u128{u} * m[0] + t[0]) >> 64);
+    for (size_t j = 1; j < n; ++j) {
+      s = u128{u} * m[j] + t[j] + c;
+      t[j - 1] = static_cast<uint64_t>(s);
+      c = static_cast<uint64_t>(s >> 64);
+    }
+    s = u128{t[n]} + c;
+    t[n - 1] = static_cast<uint64_t>(s);
+    t[n] = t[n + 1] + static_cast<uint64_t>(s >> 64);
+  }
+  reduce_once(out, t, t[n], m, n);
+}
+
+__attribute__((target("bmi2,adx"))) void mont_mul_adx(
+    uint64_t* out, const uint64_t* a, const uint64_t* b, const uint64_t* m,
+    uint64_t m_inv, size_t n, uint64_t* t) {
+  // The same CIOS steps, with both passes on mul_add_row. Instead of
+  // shifting the accumulator down a word per step, the window t[0..n+1]
+  // moves up one: t[n + 1] is always still zero when a step starts.
+  std::fill(t, t + 2 * n + 1, 0);
+  for (size_t i = 0; i < n; ++i, ++t) {
+    u128 s = u128{t[n]} + mul_add_row(t, a, b[i], n);
+    t[n] = static_cast<uint64_t>(s);
+    t[n + 1] = static_cast<uint64_t>(s >> 64);
+    s = u128{t[n]} + mul_add_row(t, m, t[0] * m_inv, n);  // clears t[0]
+    t[n] = static_cast<uint64_t>(s);
+    t[n + 1] += static_cast<uint64_t>(s >> 64);
+  }
+  reduce_once(out, t, t[n], m, n);
+}
+
+bool cpu_has_adx() {
+  static const bool has = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("adx") && __builtin_cpu_supports("bmi2");
+  }();
+  return has;
+}
+
+MontMulFn mont_mul() {
+  static const MontMulFn kernel =
+      cpu_has_adx() ? mont_mul_adx : mont_mul_portable;
+  return kernel;
+}
+
+}  // namespace kernels
+
+namespace {
+
+// Montgomery multiplication modulo an odd m of n 64-bit words, R = 2^(64n),
+// on the kernel this CPU runs best.
 class MontMul {
  public:
   MontMul(const Words& m, uint64_t m_inv)
-      : m_(m), m_inv_(m_inv), t_(m.size() + 2) {}
+      : m_(m), m_inv_(m_inv), t_(2 * m.size() + 1),
+        kernel_(kernels::mont_mul()) {}
 
-  // out = a * b / R mod m for a, b < m (CIOS: each outer step adds a * b[i],
-  // then the multiple of m that clears the low word, and drops that word).
-  // out may alias a or b.
+  // out = a * b / R mod m for a, b < m. out may alias a or b.
   void operator()(uint64_t* out, const uint64_t* a, const uint64_t* b) {
-    const size_t n = m_.size();
-    uint64_t* t = t_.data();
-    std::fill(t_.begin(), t_.end(), 0);
-    for (size_t i = 0; i < n; ++i) {
-      uint64_t c = 0;
-      for (size_t j = 0; j < n; ++j) {
-        u128 s = u128{a[j]} * b[i] + t[j] + c;
-        t[j] = static_cast<uint64_t>(s);
-        c = static_cast<uint64_t>(s >> 64);
-      }
-      u128 s = u128{t[n]} + c;
-      t[n] = static_cast<uint64_t>(s);
-      t[n + 1] = static_cast<uint64_t>(s >> 64);
-
-      uint64_t u = t[0] * m_inv_;
-      c = static_cast<uint64_t>((u128{u} * m_[0] + t[0]) >> 64);
-      for (size_t j = 1; j < n; ++j) {
-        s = u128{u} * m_[j] + t[j] + c;
-        t[j - 1] = static_cast<uint64_t>(s);
-        c = static_cast<uint64_t>(s >> 64);
-      }
-      s = u128{t[n]} + c;
-      t[n - 1] = static_cast<uint64_t>(s);
-      t[n] = t[n + 1] + static_cast<uint64_t>(s >> 64);
-    }
-    // t < 2m, so one conditional subtraction reduces it.
-    if (t[n] == 0 && less(t, m_.data(), n)) {
-      std::copy(t, t + n, out);
-      return;
-    }
-    uint64_t borrow = 0;
-    for (size_t i = 0; i < n; ++i) {
-      u128 d = u128{t[i]} - m_[i] - borrow;
-      out[i] = static_cast<uint64_t>(d);
-      borrow = static_cast<uint64_t>(d >> 64) & 1;
-    }
+    kernel_(out, a, b, m_.data(), m_inv_, m_.size(), t_.data());
   }
 
  private:
   const Words& m_;
   uint64_t m_inv_;
   Words t_;
+  kernels::MontMulFn kernel_;
 };
 
 }  // namespace

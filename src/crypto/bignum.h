@@ -5,9 +5,12 @@
 // exponentiation, the one operation hot enough to matter in wall-clock
 // terms, runs on 64-bit limbs: Montgomery CIOS multiplication with a fixed
 // 4-bit window for odd moduli, plus FixedBaseTable for bases that never
-// change (the group generators). Results are exact, so the choice of
-// algorithm never shows in a value; the cost model, not this code, supplies
-// the virtual-time price of crypto.
+// change (the group generators). The Montgomery product runs on MULX with
+// the ADCX/ADOX carry chains when CPUID reports bmi2 and adx, otherwise on
+// portable unsigned __int128 arithmetic; the choice is made once per
+// process (crypto/kernels.h). Results are exact, so neither the algorithm
+// nor the kernel ever shows in a value; the cost model, not this code,
+// supplies the virtual-time price of crypto.
 #pragma once
 
 #include <cstdint>

@@ -11,9 +11,12 @@
 // Most exponentiations raise a generator (key generation, signing, the
 // gq^s side of verification), so the group carries a FixedBaseTable for
 // each generator, built once with the group; only dh_shared and the pk^e
-// side of verification pay for a variable-base BigNum::modexp. Every value is
-// the one plain modexp would give, and the cost model charges the
-// dh_*_ns / sig_*_ns virtual time however fast the host computes it.
+// side of verification pay for a variable-base BigNum::modexp. Both paths
+// multiply with the Montgomery kernel the CPU runs best (MULX/ADCX/ADOX
+// where CPUID reports them, see bignum.h), and the Schnorr challenge hashes
+// on SHA-NI where present (sha256.h). Every value is the one plain modexp
+// would give, and the cost model charges the dh_*_ns / sig_*_ns virtual
+// time however fast the host computes it.
 #pragma once
 
 #include "crypto/bignum.h"

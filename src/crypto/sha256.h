@@ -4,6 +4,12 @@
 // like the hardware does), checkpoint integrity hashes, HMAC, key derivation
 // and the Schnorr signature challenge. Validated against NIST test vectors in
 // tests/crypto_test.cc.
+//
+// The compression function runs on the CPU's SHA extensions
+// (sha256rnds2/msg1/msg2) when CPUID reports them, otherwise in portable
+// C++; the choice is made once per process (crypto/kernels.h) and the two
+// kernels give identical digests. update() hands the kernel every whole
+// block of a call at once.
 #pragma once
 
 #include <array>
@@ -27,8 +33,6 @@ class Sha256 {
   static Digest hash(ByteSpan data);
 
  private:
-  void compress(const uint8_t block[64]);
-
   std::array<uint32_t, 8> h_;
   uint8_t buf_[64];
   size_t buf_len_ = 0;

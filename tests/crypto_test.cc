@@ -1,6 +1,7 @@
 // Crypto primitives validated against published test vectors (FIPS 180-4,
 // RFC 2104/4231, RFC 8439, FIPS 46-3, FIPS 197) plus structural tests for
-// BigNum, DH, Schnorr signatures and the checkpoint sealer.
+// BigNum, DH, Schnorr signatures and the checkpoint sealer, and the SHA-NI
+// compression kernel against the portable one.
 #include <gtest/gtest.h>
 
 #include "crypto/aead.h"
@@ -9,6 +10,7 @@
 #include "crypto/dh.h"
 #include "crypto/drbg.h"
 #include "crypto/hmac.h"
+#include "crypto/kernels.h"
 #include "crypto/sha256.h"
 
 namespace mig::crypto {
@@ -45,6 +47,63 @@ TEST(Sha256, StreamingMatchesOneShot) {
   }
   ctx.update(ByteSpan(data).subspan(off));
   EXPECT_EQ(ctx.finish(), Sha256::hash(data));
+}
+
+// msg's digest from one compression kernel, padding done here, so each
+// kernel can be checked on its own.
+Digest digest_with(kernels::Sha256BlocksFn blocks, ByteSpan msg) {
+  Bytes padded(msg.begin(), msg.end());
+  padded.push_back(0x80);
+  while (padded.size() % 64 != 56) padded.push_back(0);
+  const uint64_t bits = uint64_t{msg.size()} * 8;
+  for (int i = 7; i >= 0; --i) padded.push_back(static_cast<uint8_t>(bits >> (8 * i)));
+  uint32_t h[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                   0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  blocks(h, padded.data(), padded.size() / 64);
+  Digest d;
+  for (int i = 0; i < 32; ++i) d[i] = static_cast<uint8_t>(h[i / 4] >> (24 - 8 * (i % 4)));
+  return d;
+}
+
+TEST(Sha256, ShaNiMatchesPortableCompress) {
+  if (!kernels::cpu_has_sha_ni()) GTEST_SKIP() << "CPU lacks sha/sse4.1";
+  // Runs of 1-17 blocks from random states.
+  Drbg rng(to_bytes("sha-ni"));
+  for (size_t trial = 0; trial < 68; ++trial) {
+    const size_t count = 1 + trial % 17;
+    const Bytes data = rng.generate(64 * count);
+    uint32_t portable[8], shani[8];
+    for (int i = 0; i < 8; ++i)
+      portable[i] = shani[i] = static_cast<uint32_t>(rng.generate_u64());
+    kernels::sha256_blocks_portable(portable, data.data(), count);
+    kernels::sha256_blocks_shani(shani, data.data(), count);
+    ASSERT_TRUE(std::equal(shani, shani + 8, portable)) << count << " blocks";
+  }
+  // FIPS 180 vectors through each kernel: "abc" and "" pad to one block,
+  // the 448-bit and 896-bit messages to two.
+  const std::pair<const char*, const char*> vectors[] = {
+      {"abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"},
+      {"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+       "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"},
+      {"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmno"
+       "ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
+       "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1"},
+  };
+  for (const auto& [msg, want] : vectors) {
+    EXPECT_EQ(hex_encode(digest_with(kernels::sha256_blocks_portable, to_bytes(msg))), want);
+    EXPECT_EQ(hex_encode(digest_with(kernels::sha256_blocks_shani, to_bytes(msg))), want);
+  }
+  // A 300-byte message split at every offset through update(), which runs
+  // the kernel this CPU picked, against the portable kernel's digest.
+  const Bytes msg = Drbg(to_bytes("sha-ni-split")).generate(300);
+  const Digest want = digest_with(kernels::sha256_blocks_portable, msg);
+  for (size_t cut = 0; cut <= msg.size(); ++cut) {
+    Sha256 ctx;
+    ctx.update(ByteSpan(msg).first(cut));
+    ctx.update(ByteSpan(msg).subspan(cut));
+    ASSERT_EQ(ctx.finish(), want) << "split at " << cut;
+  }
 }
 
 // ------------------------------------------------------------------- HMAC

@@ -7,12 +7,15 @@
 //    bases and exponents;
 //  * the group's fixed-base generator tables against the generic path,
 //    including exponents wider than the table (the provisioning check
-//    raises gq to a decrypted 160-byte key, which may be garbage).
+//    raises gq to a decrypted 160-byte key, which may be garbage);
+//  * the MULX/ADX Montgomery product kernel against the portable one, word
+//    for word, with canaries around every buffer it touches.
 #include <gtest/gtest.h>
 
 #include "crypto/bignum.h"
 #include "crypto/dh.h"
 #include "crypto/drbg.h"
+#include "crypto/kernels.h"
 #include "crypto/sha256.h"
 
 namespace mig::crypto {
@@ -163,6 +166,140 @@ TEST(BigNumMontgomery, SmallOddModuli) {
     BigNum b = m - BigNum(2);
     BigNum e = BigNum(0x123456789abcdefull);
     EXPECT_EQ(b.modexp(e, m), reference_modexp(b, e, m));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The ADX product kernel vs the portable one.
+// ---------------------------------------------------------------------------
+
+// Little-endian 64-bit words <-> BigNum, for the reference check.
+BigNum from_words(const uint64_t* w, size_t n) {
+  Bytes be(8 * n);
+  for (size_t i = 0; i < be.size(); ++i)
+    be[be.size() - 1 - i] = static_cast<uint8_t>(w[i / 8] >> (8 * (i % 8)));
+  return BigNum::from_bytes(be);
+}
+
+std::vector<uint64_t> to_words(const BigNum& x, size_t n) {
+  Bytes be = x.to_bytes_padded(8 * n);
+  std::vector<uint64_t> w(n, 0);
+  for (size_t i = 0; i < be.size(); ++i)
+    w[i / 8] |= uint64_t{be[be.size() - 1 - i]} << (8 * (i % 8));
+  return w;
+}
+
+// -m0^-1 mod 2^64 by Newton's iteration, checked.
+uint64_t neg_inverse(uint64_t m0) {
+  uint64_t x = m0;
+  for (int i = 0; i < 6; ++i) x *= 2 - m0 * x;
+  EXPECT_EQ(m0 * x, 1u);
+  return 0 - x;
+}
+
+// The kernels' operands, output and scratch, each between canary words:
+// code inside asm is invisible to ASan, so the test looks for stray writes
+// itself.
+class CanaryBuffers {
+ public:
+  static constexpr uint64_t kCanary = 0xc0ffee5a5a5ac0deull;
+  static constexpr size_t kGuard = 4;
+
+  // Slots a, b, m, out (n words each) and scratch (2n + 1 words), zeroed,
+  // each after kGuard canary words, with kGuard more at the end.
+  explicit CanaryBuffers(size_t n) {
+    for (size_t len : {n, n, n, n, 2 * n + 1}) {
+      add(kGuard, kCanary, true);
+      starts_.push_back(words_.size());
+      add(len, 0, false);
+    }
+    add(kGuard, kCanary, true);
+  }
+
+  uint64_t* a() { return &words_[starts_[0]]; }
+  uint64_t* b() { return &words_[starts_[1]]; }
+  uint64_t* m() { return &words_[starts_[2]]; }
+  uint64_t* out() { return &words_[starts_[3]]; }
+  uint64_t* scratch() { return &words_[starts_[4]]; }
+
+  bool canaries_intact() const {
+    for (size_t i = 0; i < words_.size(); ++i)
+      if (guard_[i] && words_[i] != kCanary) return false;
+    return true;
+  }
+
+ private:
+  void add(size_t count, uint64_t value, bool guard) {
+    words_.insert(words_.end(), count, value);
+    guard_.insert(guard_.end(), count, guard);
+  }
+
+  std::vector<uint64_t> words_;
+  std::vector<bool> guard_;
+  std::vector<size_t> starts_;
+};
+
+TEST(BigNumMontgomery, AdxKernelMatchesPortableKernel) {
+  if (!kernels::cpu_has_adx()) GTEST_SKIP() << "CPU lacks adx/bmi2";
+  Drbg rng(to_bytes("adx-kernel"));
+  for (size_t n = 1; n <= 32; ++n) {
+    auto odd = [](const BigNum& x) { return x.is_odd() ? x : x + BigNum(1); };
+    const BigNum r = BigNum(1).shifted_left(64 * n);
+    BigNum any_top = odd(random_bits(rng, 64 * n));
+    if (any_top.bit_length() <= 64 * (n - 1))  // keep n words
+      any_top = any_top + BigNum(1).shifted_left(64 * (n - 1));
+    const BigNum top_bit = BigNum(1).shifted_left(64 * n - 1);
+    const BigNum moduli[] = {
+        any_top,
+        odd(random_bits(rng, 64 * n - 1) + top_bit),
+        r - BigNum(1),  // just below 2^(64n)
+        r - BigNum(0x101),
+    };
+    for (const BigNum& mod : moduli) {
+      ASSERT_TRUE(mod.is_odd());
+      ASSERT_EQ((mod.bit_length() + 63) / 64, n);
+      const std::vector<uint64_t> m = to_words(mod, n);
+      const uint64_t m_inv = neg_inverse(m[0]);
+      const BigNum r_mod = r % mod;  // out * R = a * b (mod m)
+      std::vector<BigNum> operands = {BigNum(), BigNum(1), mod - BigNum(1)};
+      for (int k = 0; k < 3; ++k) operands.push_back(random_bits(rng, 64 * n) % mod);
+      for (const BigNum& x : operands) {
+        for (const BigNum& y : operands) {
+          CanaryBuffers portable(n), adx(n);
+          for (CanaryBuffers* buf : {&portable, &adx}) {
+            const auto xw = to_words(x, n), yw = to_words(y, n);
+            std::copy(xw.begin(), xw.end(), buf->a());
+            std::copy(yw.begin(), yw.end(), buf->b());
+            std::copy(m.begin(), m.end(), buf->m());
+            std::fill_n(buf->scratch(), 2 * n + 1, ~0ull);  // stale scratch
+          }
+          kernels::mont_mul_portable(portable.out(), portable.a(), portable.b(),
+                                     portable.m(), m_inv, n, portable.scratch());
+          kernels::mont_mul_adx(adx.out(), adx.a(), adx.b(), adx.m(), m_inv, n,
+                                adx.scratch());
+          ASSERT_TRUE(portable.canaries_intact()) << "portable, n " << n;
+          ASSERT_TRUE(adx.canaries_intact()) << "adx, n " << n;
+          ASSERT_TRUE(std::equal(adx.out(), adx.out() + n, portable.out()))
+              << "n " << n << " m " << hex_encode(mod.to_bytes()) << " a "
+              << hex_encode(x.to_bytes()) << " b " << hex_encode(y.to_bytes());
+          const BigNum out = from_words(portable.out(), n);
+          ASSERT_TRUE(out < mod);
+          ASSERT_EQ((out * r_mod) % mod, (x * y) % mod) << "n " << n;
+        }
+      }
+      // The output may alias either operand.
+      const auto xw = to_words(operands[3], n), yw = to_words(operands[4], n);
+      std::vector<uint64_t> want(n), scratch(2 * n + 1);
+      kernels::mont_mul_portable(want.data(), xw.data(), yw.data(), m.data(),
+                                 m_inv, n, scratch.data());
+      std::vector<uint64_t> in_a = xw, in_b = yw;
+      kernels::mont_mul_adx(in_a.data(), in_a.data(), yw.data(), m.data(), m_inv,
+                            n, scratch.data());
+      kernels::mont_mul_adx(in_b.data(), xw.data(), in_b.data(), m.data(), m_inv,
+                            n, scratch.data());
+      EXPECT_EQ(in_a, want) << "out aliases a, n " << n;
+      EXPECT_EQ(in_b, want) << "out aliases b, n " << n;
+    }
   }
 }
 

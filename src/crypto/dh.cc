@@ -1,5 +1,6 @@
 #include "crypto/dh.h"
 
+#include "crypto/hmac.h"
 #include "crypto/sha256.h"
 #include "util/check.h"
 #include "util/serde.h"
@@ -58,6 +59,13 @@ Result<Bytes> dh_shared(const BigNum& priv, const BigNum& peer_pub,
     return Error(ErrorCode::kAuthFailure, "degenerate DH public value");
   BigNum shared = peer_pub.modexp(priv, group.p);
   return shared.to_bytes_padded(group.byte_len);
+}
+
+Result<Bytes> dh_session_key(std::string_view label, const BigNum& priv,
+                             ByteSpan peer_pub, ByteSpan requester_pub) {
+  MIG_ASSIGN_OR_RETURN(Bytes shared,
+                       dh_shared(priv, BigNum::from_bytes(peer_pub)));
+  return hkdf(to_bytes(label), shared, requester_pub, 32);
 }
 
 SigKeyPair sig_keygen(Drbg& rng, const DhGroup& group) {

@@ -50,6 +50,13 @@ DhKeyPair dh_generate(Drbg& rng, const DhGroup& group = DhGroup::oakley2());
 Result<Bytes> dh_shared(const BigNum& priv, const BigNum& peer_pub,
                         const DhGroup& group = DhGroup::oakley2());
 
+// Session key of an attested DH channel: HKDF(label, g^(ab), requester_pub),
+// 32 bytes. Both sides key it with the requester's public value, the one its
+// quote or report binds, so a responder passes that value twice. Fails like
+// dh_shared on a degenerate peer value.
+Result<Bytes> dh_session_key(std::string_view label, const BigNum& priv,
+                             ByteSpan peer_pub, ByteSpan requester_pub);
+
 // ---- Schnorr signatures -----------------------------------------------------
 
 struct SigKeyPair {

@@ -11,6 +11,27 @@
 
 namespace mig::quorum {
 
+namespace {
+
+// Forwards an f+1 refusal in the single signer's reply format, which the
+// enclave maps to kPermissionDenied — exactly what the rollback/fork
+// defenses in store_test expect.
+void forward_refusal(sim::ThreadCtx& ctx, sim::Channel::End& end,
+                     const std::string& verb, const std::string& why) {
+  obs::metrics().add("quorum.refusals");
+  obs::instant(ctx, "quorum.refused", "quorum", {{"verb", verb}, {"why", why}});
+  obs::flight(ctx, "quorum", "refused", verb + ": " + why);
+  Writer w;
+  w.str("REFUSED:" + why);
+  w.u64(0);
+  w.bytes({});
+  w.bytes({});
+  w.bytes({});
+  end.send(ctx, w.take());
+}
+
+}  // namespace
+
 QuorumCounterService::QuorumCounterService(sim::Executor& exec,
                                            sgx::AttestationService& ias,
                                            crypto::Drbg rng, uint64_t n) {
@@ -215,22 +236,10 @@ void QuorumCounterService::serve_one(sim::ThreadCtx& ctx,
   };
 
   if (refused) {
-    // f+1 replicas refused for the same reason: forward it in the legacy
-    // reply format, which the enclave maps to kPermissionDenied — exactly
-    // what the rollback/fork defenses in store_test expect.
+    // f+1 replicas refused for the same reason: forward it.
     abort_all();
-    obs::metrics().add("quorum.refusals");
-    obs::instant(ctx, "quorum.refused", "quorum",
-                 {{"verb", verb}, {"why", quorum_refusal}});
-    obs::flight(ctx, "quorum", "refused", verb + ": " + quorum_refusal);
-    Writer w;
-    w.str("REFUSED:" + quorum_refusal);
-    w.u64(0);
-    w.bytes({});
-    w.bytes({});
-    w.bytes({});
     pending_.erase(op);
-    end.send(ctx, w.take());
+    forward_refusal(ctx, end, verb, quorum_refusal);
     return;
   }
   if (winning_counter == 0) {
@@ -322,18 +331,8 @@ void QuorumCounterService::serve_one(sim::ThreadCtx& ctx,
     for (const auto& [w_, count] : ref_votes)
       if (count >= quorum) why = w_;
     if (!why.empty()) {
-      obs::metrics().add("quorum.refusals");
-      obs::instant(ctx, "quorum.refused", "quorum",
-                   {{"verb", verb}, {"why", why}});
-      obs::flight(ctx, "quorum", "refused", verb + ": " + why);
-      Writer w;
-      w.str("REFUSED:" + why);
-      w.u64(0);
-      w.bytes({});
-      w.bytes({});
-      w.bytes({});
       pending_.erase(op);
-      end.send(ctx, w.take());
+      forward_refusal(ctx, end, verb, why);
       return;
     }
     std::string missing;

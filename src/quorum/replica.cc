@@ -1,7 +1,6 @@
 #include "quorum/quorum.h"
 
 #include "crypto/aead.h"
-#include "crypto/hmac.h"
 #include "crypto/sha256.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -96,22 +95,15 @@ void CounterReplica::handle_prepare(sim::ThreadCtx& ctx,
   Bytes quote_wire = r.bytes();
   if (!r.finish().ok()) return refuse("malformed");
 
-  auto quote = sgx::Quote::deserialize(quote_wire);
-  if (!quote.ok()) return refuse("bad quote");
-  ctx.sleep(2 * sim::default_cost_model().wan_latency_ns);
-  sgx::AttestationVerdict verdict =
-      ias_->verify(ctx, *quote, rng_.generate(16));
-  if (!verdict.ok) return refuse("attestation failed");
-  crypto::Digest bind = crypto::Sha256::hash(dh_pub_e);
-  if (!crypto::ct_equal(ByteSpan(verdict.report_data), ByteSpan(bind)))
-    return refuse("quote does not bind DH value");
+  auto verdict = sgx::verify_dh_quote(ctx, *ias_, quote_wire, dh_pub_e, rng_);
+  if (!verdict.ok()) return refuse(verdict.status().message());
 
   store::CounterCore::Outcome out =
-      core_.peek(verb, counter_arg, ByteSpan(verdict.mrenclave));
+      core_.peek(verb, counter_arg, ByteSpan(verdict->mrenclave));
   if (!out.granted) return refuse(out.refusal);
 
   staged_[op] = StagedOp{verb, counter_arg, std::move(dh_pub_e),
-                         verdict.mrenclave};
+                         verdict->mrenclave};
   obs::metrics().add("quorum.prepare_acks");
   Writer w;
   w.str("QACK");
@@ -202,11 +194,9 @@ void CounterReplica::handle_commit(sim::ThreadCtx& ctx,
   ctx.work(sim::default_cost_model().dh_keygen_ns +
            sim::default_cost_model().dh_shared_ns);
   crypto::DhKeyPair kp = crypto::dh_generate(rng_);
-  auto shared =
-      crypto::dh_shared(kp.priv, crypto::BigNum::from_bytes(staged.dh_pub_e));
-  if (!shared.ok()) return;  // degenerate DH: drop (prepare already vetted)
-  Bytes session =
-      crypto::hkdf(to_bytes("qrm-channel"), *shared, staged.dh_pub_e, 32);
+  auto session = crypto::dh_session_key("qrm-channel", kp.priv,
+                                        staged.dh_pub_e, staged.dh_pub_e);
+  if (!session.ok()) return;  // degenerate DH: drop (prepare already vetted)
 
   sdk::QuorumReplyRecord rec;
   rec.replica_id = id_;
@@ -219,7 +209,7 @@ void CounterReplica::handle_commit(sim::ThreadCtx& ctx,
   rec.dh_pub_s = kp.pub.to_bytes_padded(128);
   rec.enc_key = out.key.empty()
                     ? Bytes{}
-                    : crypto::seal(crypto::CipherAlg::kChaCha20, session,
+                    : crypto::seal(crypto::CipherAlg::kChaCha20, *session,
                                    out.key);
 
   ctx.work(sim::default_cost_model().sig_sign_ns);

@@ -267,8 +267,4 @@ struct ControlDeps {
 void control_thread_main(EnclaveEnv& env, ControlMailbox& mailbox,
                          ControlDeps& deps);
 
-// Computes a worker's true CSSA from its checkpointed flags per §IV-C:
-// free -> 0; spin -> CSSA_EENTER + 1.
-uint64_t true_cssa_from_flags(uint64_t local_flag, uint64_t cssa_eenter);
-
 }  // namespace mig::sdk

@@ -132,8 +132,6 @@ Result<uint64_t> EnclaveEnv::heap_alloc(uint64_t bytes) {
   return next;
 }
 
-void EnclaveEnv::heap_reset() { write_u64(kOffHeapNext, layout_->heap_off); }
-
 Result<Bytes> EnclaveEnv::ocall(uint64_t id, ByteSpan args) {
   if (ocalls_ == nullptr)
     return Error(ErrorCode::kUnavailable, "no ocall table bound");

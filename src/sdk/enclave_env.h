@@ -65,7 +65,6 @@ class EnclaveEnv {
 
   // ---- in-enclave heap (bump allocator; pointer state in the meta page) ----
   Result<uint64_t> heap_alloc(uint64_t bytes);
-  void heap_reset();
 
   // ---- hardware services available to enclave code ----
   Result<sgx::Report> ereport(const sgx::TargetInfo& target, ByteSpan data);

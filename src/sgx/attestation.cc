@@ -120,4 +120,19 @@ bool AttestationService::check_verdict(const AttestationVerdict& verdict,
                             verdict.signature);
 }
 
+Result<AttestationVerdict> verify_dh_quote(sim::ThreadCtx& ctx,
+                                           AttestationService& ias,
+                                           ByteSpan quote_wire,
+                                           ByteSpan dh_pub, crypto::Drbg& rng) {
+  auto quote = Quote::deserialize(quote_wire);
+  if (!quote.ok()) return Error(ErrorCode::kAuthFailure, "bad quote");
+  ctx.sleep(2 * sim::default_cost_model().wan_latency_ns);
+  AttestationVerdict verdict = ias.verify(ctx, *quote, rng.generate(16));
+  if (!verdict.ok) return Error(ErrorCode::kAuthFailure, "attestation failed");
+  crypto::Digest bind = crypto::Sha256::hash(dh_pub);
+  if (!crypto::ct_equal(ByteSpan(verdict.report_data), ByteSpan(bind)))
+    return Error(ErrorCode::kAuthFailure, "quote does not bind DH value");
+  return verdict;
+}
+
 }  // namespace mig::sgx

@@ -98,4 +98,15 @@ class AttestationService {
   std::map<std::string, crypto::BigNum> platforms_;
 };
 
+// The responder's check of a quote-based DH request (the enclave owner, the
+// counter service, a quorum replica): decode the quote, verify it through
+// `ias` after the responder's WAN round trip to the service (nonce drawn
+// from `rng`), and require its report data to be SHA-256 of the requester's
+// DH value. A failure's message is the refusal the responder sends: "bad
+// quote", "attestation failed" or "quote does not bind DH value".
+Result<AttestationVerdict> verify_dh_quote(sim::ThreadCtx& ctx,
+                                           AttestationService& ias,
+                                           ByteSpan quote_wire,
+                                           ByteSpan dh_pub, crypto::Drbg& rng);
+
 }  // namespace mig::sgx

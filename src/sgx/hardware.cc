@@ -605,14 +605,6 @@ bool SgxHardware::page_resident(EnclaveId eid, uint64_t lin) const {
   return enc != nullptr && enc->pages.count(lin) > 0;
 }
 
-std::optional<Perms> SgxHardware::page_perms(EnclaveId eid, uint64_t lin) const {
-  const Enclave* enc = find(eid);
-  if (enc == nullptr) return std::nullopt;
-  auto it = enc->pages.find(lin);
-  if (it == enc->pages.end()) return std::nullopt;
-  return epc_[it->second].perms;
-}
-
 const Secs* SgxHardware::secs(EnclaveId eid) const {
   const Enclave* enc = find(eid);
   return enc == nullptr ? nullptr : &enc->secs;

@@ -32,7 +32,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -139,7 +138,6 @@ class SgxHardware {
   uint64_t free_epc_pages() const;
   uint64_t total_epc_pages() const { return config_.epc_pages; }
   bool page_resident(EnclaveId eid, uint64_t lin) const;
-  std::optional<Perms> page_perms(EnclaveId eid, uint64_t lin) const;
   const Secs* secs(EnclaveId eid) const;
   bool enclave_exists(EnclaveId eid) const;
   // Pages of an enclave currently resident (lin addresses). OS bookkeeping.

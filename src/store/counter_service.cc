@@ -2,7 +2,6 @@
 
 #include "crypto/aead.h"
 #include "crypto/hmac.h"
-#include "crypto/sha256.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -30,6 +29,9 @@ CounterCore::Outcome CounterCore::peek(std::string_view verb,
   Outcome out;
   uint64_t current = counter(mrenclave);
   if (verb == "SEALGRANT") {
+    // Key for the current value; the counter does not move. The reply also
+    // tells a stale fork that the world moved on (it compares against its
+    // in-enclave epoch and self-destroys).
     out.granted = true;
     out.counter = current;
   } else if (verb == "OPENGRANT") {
@@ -37,6 +39,8 @@ CounterCore::Outcome CounterCore::peek(std::string_view verb,
       out.refusal = "stale snapshot counter";
       return out;
     }
+    // The restore consumes the epoch: key for c, counter moves to c+1, and
+    // the restored instance records c+1 as its epoch.
     out.granted = true;
     out.counter = current + 1;
     out.mutating = true;
@@ -57,41 +61,12 @@ CounterCore::Outcome CounterCore::peek(std::string_view verb,
 CounterCore::Outcome CounterCore::apply(std::string_view verb,
                                         uint64_t counter_arg,
                                         ByteSpan mrenclave) {
-  Outcome out;
-  Bytes id(mrenclave.begin(), mrenclave.end());
-  auto [it, created] = counters_.try_emplace(std::move(id), 1);
-  uint64_t& current = it->second;
-  if (verb == "SEALGRANT") {
-    // Key for the current value; the counter does not move. The reply also
-    // tells a stale fork that the world moved on (it compares against its
-    // in-enclave epoch and self-destroys).
-    out.granted = true;
-    out.counter = current;
-    out.key = key_for(it->first, current);
-  } else if (verb == "OPENGRANT") {
-    if (counter_arg != current) {
-      out.refusal = "stale snapshot counter";
-      return out;
-    }
-    // The restore consumes the epoch: key for c, counter moves to c+1, and
-    // the restored instance records c+1 as its epoch.
-    out.key = key_for(it->first, current);
-    current += 1;
-    out.granted = true;
-    out.counter = current;
-    out.mutating = true;
-  } else if (verb == "ADVANCE") {
-    if (counter_arg != 0 && counter_arg != current) {
-      out.refusal = "stale counter epoch";
-      return out;
-    }
-    current += 1;
-    out.granted = true;
-    out.counter = current;
-    out.mutating = true;
-  } else {
-    out.refusal = "unknown verb";
-  }
+  Outcome out = peek(verb, counter_arg, mrenclave);
+  if (!out.granted) return out;
+  // SEALGRANT and OPENGRANT key the value current before the op; ADVANCE
+  // only moves the counter.
+  if (verb != "ADVANCE") out.key = key_for(mrenclave, counter(mrenclave));
+  counters_[Bytes(mrenclave.begin(), mrenclave.end())] = out.counter;
   return out;
 }
 
@@ -166,42 +141,33 @@ void CounterService::serve_one(sim::ThreadCtx& ctx, sim::Channel::End end) {
   };
   if (!r.finish().ok()) return refuse("malformed");
 
-  auto quote = sgx::Quote::deserialize(quote_wire);
-  if (!quote.ok()) return refuse("bad quote");
-  ctx.sleep(2 * sim::default_cost_model().wan_latency_ns);
-  sgx::AttestationVerdict verdict =
-      ias_->verify(ctx, *quote, rng_.generate(16));
-  if (!verdict.ok) return refuse("attestation failed");
-  crypto::Digest bind = crypto::Sha256::hash(dh_pub_e);
-  if (!crypto::ct_equal(ByteSpan(verdict.report_data), ByteSpan(bind)))
-    return refuse("quote does not bind DH value");
+  auto verdict = sgx::verify_dh_quote(ctx, *ias_, quote_wire, dh_pub_e, rng_);
+  if (!verdict.ok()) return refuse(verdict.status().message());
 
   CounterCore::Outcome out =
-      core_.apply(verb, counter_arg, ByteSpan(verdict.mrenclave));
+      core_.apply(verb, counter_arg, ByteSpan(verdict->mrenclave));
   if (!out.granted) return refuse(out.refusal);
   if (verb == "ADVANCE") {
     obs::metrics().add("store.counter.advances");
   } else {
     obs::metrics().add("store.counter.grants");
   }
-  uint64_t reply_counter = out.counter;
   audit_.push_back(
-      CounterAuditEntry{verb, verdict.mrenclave, out.counter, ctx.now()});
+      CounterAuditEntry{verb, verdict->mrenclave, out.counter, ctx.now()});
   obs::instant(ctx, "store.counter.granted", "store",
-               {{"verb", verb}, {"counter", reply_counter}});
+               {{"verb", verb}, {"counter", out.counter}});
 
   ctx.work(sim::default_cost_model().dh_keygen_ns +
            sim::default_cost_model().dh_shared_ns);
   crypto::DhKeyPair kp = crypto::dh_generate(rng_);
-  auto shared =
-      crypto::dh_shared(kp.priv, crypto::BigNum::from_bytes(dh_pub_e));
-  if (!shared.ok()) return refuse("degenerate DH value");
-  Bytes session = crypto::hkdf(to_bytes("ctr-channel"), *shared, dh_pub_e, 32);
+  auto session =
+      crypto::dh_session_key("ctr-channel", kp.priv, dh_pub_e, dh_pub_e);
+  if (!session.ok()) return refuse("degenerate DH value");
   Bytes dh_pub_s = kp.pub.to_bytes_padded(128);
   Bytes enc_key =
       out.key.empty()
           ? Bytes{}
-          : crypto::seal(crypto::CipherAlg::kChaCha20, session, out.key);
+          : crypto::seal(crypto::CipherAlg::kChaCha20, *session, out.key);
 
   // Sign the whole transcript. dh_pub_e is fresh per request, so the
   // signature doubles as the anti-replay binding: a recorded CTRGRANT for an
@@ -209,7 +175,7 @@ void CounterService::serve_one(sim::ThreadCtx& ctx, sim::Channel::End end) {
   Writer transcript;
   transcript.str("ctr-reply");
   transcript.str(verb);
-  transcript.u64(reply_counter);
+  transcript.u64(out.counter);
   transcript.bytes(dh_pub_e);
   transcript.bytes(dh_pub_s);
   transcript.bytes(enc_key);
@@ -218,7 +184,7 @@ void CounterService::serve_one(sim::ThreadCtx& ctx, sim::Channel::End end) {
 
   Writer w;
   w.str("CTRGRANT");
-  w.u64(reply_counter);
+  w.u64(out.counter);
   w.bytes(dh_pub_s);
   w.bytes(enc_key);
   w.bytes(sig);

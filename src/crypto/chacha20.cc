@@ -74,12 +74,17 @@ Rc4::Rc4(ByteSpan key) {
 }
 
 void Rc4::xor_stream(MutByteSpan data) {
+  // The counters live in locals: a store through the uint8_t span may alias
+  // any byte, so members would be stored and reloaded for every byte.
+  uint8_t i = i_, j = j_;
   for (size_t n = 0; n < data.size(); ++n) {
-    i_ = static_cast<uint8_t>(i_ + 1);
-    j_ = static_cast<uint8_t>(j_ + s_[i_]);
-    std::swap(s_[i_], s_[j_]);
-    data[n] ^= s_[static_cast<uint8_t>(s_[i_] + s_[j_])];
+    i = static_cast<uint8_t>(i + 1);
+    j = static_cast<uint8_t>(j + s_[i]);
+    std::swap(s_[i], s_[j]);
+    data[n] ^= s_[static_cast<uint8_t>(s_[i] + s_[j])];
   }
+  i_ = i;
+  j_ = j;
 }
 
 }  // namespace mig::crypto

@@ -289,10 +289,11 @@ Result<Bytes> key_from_source(ControlCore& c, sim::Channel::End& ch,
   MIG_ASSIGN_OR_RETURN(QuotedDh q,
                        quoted_dh(c, ch, std::move(req), /*wan=*/false,
                                  "source never answered the key request"));
+  // serve_key refuses with the bare bytes REFUSE, not a framed tag.
+  if (q.reply == to_bytes("REFUSE"))
+    return Error(ErrorCode::kAborted, "source refused key exchange");
   Reader r(q.reply);
   std::string tag = r.str();
-  if (tag == "REFUSE")
-    return Error(ErrorCode::kAborted, "source refused key exchange");
   Bytes dh_pub_s = r.bytes();
   Bytes enc = r.bytes();
   Bytes src_mre = r.raw(32);

@@ -3,7 +3,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/check.h"
-#include "util/serde.h"
 
 namespace mig::sdk {
 
@@ -39,9 +38,8 @@ class EnclaveRuntime {
     // spin-in-entry migration can re-dispatch on the target.
     env_.write_u64(tls_ + kTlEcallId, id);
     env_.write_u64(tls_ + kTlPc, 0);
-    Writer w;
-    w.u64(std::min<uint64_t>(args.size(), kTlArgsMax));
-    env_.write_bytes(tls_ + kTlArgLen, w.data());
+    env_.write_u64(tls_ + kTlArgLen,
+                   std::min<uint64_t>(args.size(), kTlArgsMax));
     env_.write_bytes(tls_ + kTlArgs, args.first(std::min<size_t>(args.size(),
                                                                  kTlArgsMax)));
     if (host_->migration_support_) {

@@ -12,6 +12,7 @@ namespace mig::sgx {
 namespace {
 
 Status not_found(const char* what) { return Error(ErrorCode::kNotFound, what); }
+Status not_resident() { return not_found("page not resident"); }
 
 // 12-byte ChaCha20 nonce from the page version + low address bits.
 Bytes paging_nonce(uint64_t version, uint64_t lin_addr) {
@@ -31,6 +32,7 @@ SgxHardware::SgxHardware(sim::Executor& executor, const sim::CostModel& cost,
   // a machine does not zero-fill an EPC it never uses. The reserve means no
   // append moves a slot: an EpcPage& stays valid.
   epc_.reserve(config_.epc_pages);
+  enclaves_.emplace_back();  // eid 0 is kNoEnclave
   paging_key_ = key_seed.fork(to_bytes("paging")).generate(32);
   paging_mac_key_ = key_seed.fork(to_bytes("paging-mac")).generate(32);
   report_key_root_ = key_seed.fork(to_bytes("report")).generate(32);
@@ -51,13 +53,32 @@ Result<size_t> SgxHardware::alloc_slot() {
   return epc_.size() - 1;
 }
 
-SgxHardware::Enclave* SgxHardware::find(EnclaveId eid) {
-  auto it = enclaves_.find(eid);
-  return it == enclaves_.end() ? nullptr : &it->second;
+SgxHardware::Enclave& SgxHardware::add_enclave(size_t secs_slot) {
+  EnclaveId eid = enclaves_.size();
+  Enclave& enc = *enclaves_.emplace_back(std::make_unique<Enclave>());
+  enc.secs.eid = eid;
+  enc.secs_slot = secs_slot;
+  epc_[secs_slot].type = PageType::kSecs;
+  epc_[secs_slot].eid = eid;
+  return enc;
 }
-const SgxHardware::Enclave* SgxHardware::find(EnclaveId eid) const {
-  auto it = enclaves_.find(eid);
-  return it == enclaves_.end() ? nullptr : &it->second;
+
+void SgxHardware::map_page(Enclave& enc, uint64_t lin, size_t slot) {
+  uint64_t off = lin - enc.secs.base;
+  MIG_CHECK(lin >= enc.secs.base && off < enc.secs.size &&
+            off % kPageSize == 0);
+  size_t index = off / kPageSize;
+  if (index >= enc.pages.size()) enc.pages.resize(index + 1, kNotResident);
+  MIG_CHECK(enc.pages[index] == kNotResident);
+  enc.pages[index] = slot;
+  ++enc.resident;
+}
+
+void SgxHardware::unmap_page(Enclave& enc, uint64_t lin) {
+  size_t& entry = enc.pages[(lin - enc.secs.base) / kPageSize];
+  epc_[entry] = EpcPage{};
+  entry = kNotResident;
+  --enc.resident;
 }
 
 // ------------------------------------------------------------- enclave build
@@ -69,17 +90,11 @@ Result<EnclaveId> SgxHardware::ecreate(sim::ThreadCtx& ctx, uint64_t base,
     return Error(ErrorCode::kInvalidArgument, "enclave range not page-aligned");
   ctx.work_atomic(cost_->ecreate_ns);
   MIG_ASSIGN_OR_RETURN(size_t slot, alloc_slot());
-  epc_[slot].type = PageType::kSecs;
-
-  EnclaveId eid = next_eid_++;
-  Enclave& enc = enclaves_[eid];
-  enc.secs.eid = eid;
+  Enclave& enc = add_enclave(slot);
   enc.secs.base = base;
   enc.secs.size = size;
   enc.secs.isv_prod_id = isv_prod_id;
   enc.secs.isv_svn = isv_svn;
-  enc.secs_slot = slot;
-  epc_[slot].eid = eid;
 
   Writer w;
   w.str("ECREATE");
@@ -87,7 +102,7 @@ Result<EnclaveId> SgxHardware::ecreate(sim::ThreadCtx& ctx, uint64_t base,
   w.u64(isv_prod_id);
   w.u64(isv_svn);
   enc.secs.measuring.update(w.data());
-  return eid;
+  return enc.secs.eid;
 }
 
 Status SgxHardware::eadd(sim::ThreadCtx& ctx, EnclaveId eid, uint64_t lin_addr,
@@ -101,7 +116,7 @@ Status SgxHardware::eadd(sim::ThreadCtx& ctx, EnclaveId eid, uint64_t lin_addr,
   if (lin_addr % kPageSize != 0 || lin_addr < enc->secs.base ||
       lin_addr + kPageSize > enc->secs.base + enc->secs.size)
     return Error(ErrorCode::kInvalidArgument, "EADD: address outside enclave");
-  if (enc->pages.count(lin_addr))
+  if (slot_of(*enc, lin_addr) != kNotResident)
     return Error(ErrorCode::kFailedPrecondition, "EADD: page already present");
   if (content.size() > kPageSize)
     return Error(ErrorCode::kInvalidArgument, "EADD: content too large");
@@ -131,7 +146,7 @@ Status SgxHardware::eadd(sim::ThreadCtx& ctx, EnclaveId eid, uint64_t lin_addr,
     page.data.assign(content.begin(), content.end());
     page.data.resize(kPageSize, 0);
   }
-  enc->pages[lin_addr] = slot;
+  map_page(*enc, lin_addr, slot);
 
   Writer w;
   w.str("EADD");
@@ -148,11 +163,11 @@ Status SgxHardware::eextend(sim::ThreadCtx& ctx, EnclaveId eid,
   if (enc == nullptr) return not_found("EEXTEND: no such enclave");
   if (enc->secs.initialized)
     return Error(ErrorCode::kFailedPrecondition, "EEXTEND after EINIT");
-  auto it = enc->pages.find(lin_addr);
-  if (it == enc->pages.end()) return not_found("EEXTEND: page not present");
+  size_t slot = slot_of(*enc, lin_addr);
+  if (slot == kNotResident) return not_found("EEXTEND: page not present");
   ctx.work_atomic(cost_->eextend_ns_per_page);
 
-  const EpcPage& page = epc_[it->second];
+  const EpcPage& page = epc_[slot];
   Bytes content = page.type == PageType::kTcs
                       ? serialize_page_payload(page)
                       : page.data;
@@ -196,30 +211,28 @@ Status SgxHardware::eremove_page(sim::ThreadCtx& ctx, EnclaveId eid,
                                  uint64_t lin_addr) {
   Enclave* enc = find(eid);
   if (enc == nullptr) return not_found("EREMOVE: no such enclave");
-  auto it = enc->pages.find(lin_addr);
-  if (it == enc->pages.end()) return not_found("EREMOVE: page not present");
-  const EpcPage& page = epc_[it->second];
+  size_t slot = slot_of(*enc, lin_addr);
+  if (slot == kNotResident) return not_found("EREMOVE: page not present");
+  const EpcPage& page = epc_[slot];
   if (page.type == PageType::kTcs && page.tcs->busy)
     return Error(ErrorCode::kFailedPrecondition, "EREMOVE: TCS in use");
   ctx.work_atomic(cost_->eremove_ns_per_page);
-  epc_[it->second] = EpcPage{};
-  enc->pages.erase(it);
+  unmap_page(*enc, lin_addr);
   return OkStatus();
 }
 
 Status SgxHardware::eremove_enclave(sim::ThreadCtx& ctx, EnclaveId eid) {
   Enclave* enc = find(eid);
   if (enc == nullptr) return not_found("EREMOVE: no such enclave");
-  for (const auto& [lin, slot] : enc->pages) {
+  for (size_t slot : enc->pages) {
+    if (slot == kNotResident) continue;
     const EpcPage& page = epc_[slot];
     if (page.type == PageType::kTcs && page.tcs->busy)
       return Error(ErrorCode::kFailedPrecondition,
                    "EREMOVE: enclave has a busy TCS");
   }
-  ctx.work_atomic(cost_->eremove_ns_per_page * (enc->pages.size() + 1));
-  for (const auto& [lin, slot] : enc->pages) epc_[slot] = EpcPage{};
-  epc_[enc->secs_slot] = EpcPage{};
-  enclaves_.erase(eid);
+  ctx.work_atomic(cost_->eremove_ns_per_page * (enc->resident + 1));
+  remove_enclave(*enc);
   return OkStatus();
 }
 
@@ -230,9 +243,14 @@ void SgxHardware::force_reclaim_enclave(sim::ThreadCtx& ctx, EnclaveId eid) {
   Enclave* enc = find(eid);
   if (enc == nullptr) return;
   ctx.work_atomic(cost_->eremove_ns_per_page);
-  for (const auto& [lin, slot] : enc->pages) epc_[slot] = EpcPage{};
-  epc_[enc->secs_slot] = EpcPage{};
-  enclaves_.erase(eid);
+  remove_enclave(*enc);
+}
+
+void SgxHardware::remove_enclave(Enclave& enc) {
+  for (size_t slot : enc.pages)
+    if (slot != kNotResident) epc_[slot] = EpcPage{};
+  epc_[enc.secs_slot] = EpcPage{};
+  enclaves_[enc.secs.eid].reset();
 }
 
 // ------------------------------------------------------------------ paging
@@ -295,9 +313,9 @@ Result<EvictedPage> SgxHardware::ewb(sim::ThreadCtx& ctx, EnclaveId eid,
                                      int va_slot) {
   Enclave* enc = find(eid);
   if (enc == nullptr) return Status(not_found("EWB: no such enclave"));
-  auto it = enc->pages.find(lin_addr);
-  if (it == enc->pages.end()) return Status(not_found("EWB: page not resident"));
-  EpcPage& page = epc_[it->second];
+  size_t slot = slot_of(*enc, lin_addr);
+  if (slot == kNotResident) return Status(not_found("EWB: page not resident"));
+  EpcPage& page = epc_[slot];
   if (page.type == PageType::kTcs && page.tcs->busy)
     return Error(ErrorCode::kFailedPrecondition, "EWB: TCS in use");
   auto va_it = va_pages_.find(va_page);
@@ -324,15 +342,14 @@ Result<EvictedPage> SgxHardware::ewb(sim::ThreadCtx& ctx, EnclaveId eid,
   out.mac = crypto::hmac_sha256(paging_mac_key_, paging_mac_input(out));
 
   va.va_slots[va_slot] = out.version;
-  epc_[it->second] = EpcPage{};
-  enc->pages.erase(it);
+  unmap_page(*enc, lin_addr);
   return out;
 }
 
 Status SgxHardware::eldb(sim::ThreadCtx& ctx, const EvictedPage& evicted) {
   Enclave* enc = find(evicted.eid);
   if (enc == nullptr) return not_found("ELDB: no such enclave");
-  if (enc->pages.count(evicted.lin_addr))
+  if (slot_of(*enc, evicted.lin_addr) != kNotResident)
     return Error(ErrorCode::kFailedPrecondition, "ELDB: page already resident");
   auto va_it = va_pages_.find(evicted.va_page);
   if (va_it == va_pages_.end()) return not_found("ELDB: no such VA page");
@@ -360,23 +377,19 @@ Status SgxHardware::eldb(sim::ThreadCtx& ctx, const EvictedPage& evicted) {
   page.eid = evicted.eid;
   page.lin_addr = evicted.lin_addr;
   page.perms = evicted.perms;
-  enc->pages[evicted.lin_addr] = slot;
+  map_page(*enc, evicted.lin_addr, slot);
   va.va_slots[evicted.va_slot] = 0;  // consume the version: no replay
   return OkStatus();
 }
 
 // --------------------------------------------------- control-flow transfer
 
-Result<size_t> SgxHardware::resident_slot(sim::ThreadCtx& ctx, Enclave& enc,
-                                          uint64_t lin_page) {
-  auto it = enc.pages.find(lin_page);
-  if (it != enc.pages.end()) return it->second;
+size_t SgxHardware::fault_in(sim::ThreadCtx& ctx, Enclave& enc,
+                             uint64_t lin_page) {
   // Page fault: ask the OS to swap it in (demand paging), then retry.
-  if (fault_ && fault_(ctx, enc.secs.eid, lin_page)) {
-    it = enc.pages.find(lin_page);
-    if (it != enc.pages.end()) return it->second;
-  }
-  return Status(Error(ErrorCode::kNotFound, "page not resident"));
+  if (fault_ && fault_(ctx, enc.secs.eid, lin_page))
+    return slot_of(enc, lin_page);
+  return kNotResident;
 }
 
 Result<uint64_t> SgxHardware::eenter(sim::ThreadCtx& ctx, CoreState& core,
@@ -389,7 +402,8 @@ Result<uint64_t> SgxHardware::eenter(sim::ThreadCtx& ctx, CoreState& core,
     return Error(ErrorCode::kFailedPrecondition, "EENTER before EINIT");
   if (enc->migrating)
     return Error(ErrorCode::kAborted, "EENTER: enclave frozen by EMIGRATE");
-  MIG_ASSIGN_OR_RETURN(size_t slot, resident_slot(ctx, *enc, tcs_addr));
+  size_t slot = resident_slot(ctx, *enc, tcs_addr);
+  if (slot == kNotResident) return not_resident();
   EpcPage& page = epc_[slot];
   if (page.type != PageType::kTcs)
     return Error(ErrorCode::kInvalidArgument, "EENTER: not a TCS page");
@@ -412,10 +426,10 @@ Status SgxHardware::eexit(sim::ThreadCtx& ctx, CoreState& core) {
     return Error(ErrorCode::kFailedPrecondition, "EEXIT outside enclave");
   Enclave* enc = find(core.eid);
   MIG_CHECK(enc != nullptr);
-  auto it = enc->pages.find(core.tcs_addr);
-  MIG_CHECK_MSG(it != enc->pages.end(), "TCS of running thread evicted");
+  size_t slot = slot_of(*enc, core.tcs_addr);
+  MIG_CHECK_MSG(slot != kNotResident, "TCS of running thread evicted");
   ctx.work_atomic(cost_->eexit_ns);
-  epc_[it->second].tcs->busy = false;
+  epc_[slot].tcs->busy = false;
   core = CoreState{};
   return OkStatus();
 }
@@ -425,9 +439,9 @@ Status SgxHardware::aex(sim::ThreadCtx& ctx, CoreState& core, ByteSpan context) 
     return Error(ErrorCode::kFailedPrecondition, "AEX outside enclave");
   Enclave* enc = find(core.eid);
   MIG_CHECK(enc != nullptr);
-  auto it = enc->pages.find(core.tcs_addr);
-  MIG_CHECK_MSG(it != enc->pages.end(), "TCS of running thread evicted");
-  Tcs& tcs = *epc_[it->second].tcs;
+  size_t tcs_slot = slot_of(*enc, core.tcs_addr);
+  MIG_CHECK_MSG(tcs_slot != kNotResident, "TCS of running thread evicted");
+  Tcs& tcs = *epc_[tcs_slot].tcs;
   MIG_CHECK_MSG(tcs.cssa < tcs.nssa, "AEX with no free SSA frame");
 
   // Save the interrupted context into SSA[CSSA] (inside the enclave).
@@ -438,7 +452,8 @@ Status SgxHardware::aex(sim::ThreadCtx& ctx, CoreState& core, ByteSpan context) 
     return Error(ErrorCode::kInvalidArgument, "AEX: context exceeds SSA frame");
   frame.resize(kSsaFrameSize, 0);
   uint64_t ssa_addr = enc->secs.base + tcs.ossa + tcs.cssa * kSsaFrameSize;
-  MIG_ASSIGN_OR_RETURN(size_t ssa_slot, resident_slot(ctx, *enc, ssa_addr));
+  size_t ssa_slot = resident_slot(ctx, *enc, ssa_addr);
+  if (ssa_slot == kNotResident) return not_resident();
   EpcPage& ssa_page = epc_[ssa_slot];
   MIG_CHECK(ssa_page.type == PageType::kReg);
   ssa_page.data = std::move(frame);
@@ -458,7 +473,8 @@ Result<Bytes> SgxHardware::eresume(sim::ThreadCtx& ctx, CoreState& core,
   if (enc == nullptr) return Status(not_found("ERESUME: no such enclave"));
   if (enc->migrating)
     return Error(ErrorCode::kAborted, "ERESUME: enclave frozen by EMIGRATE");
-  MIG_ASSIGN_OR_RETURN(size_t slot, resident_slot(ctx, *enc, tcs_addr));
+  size_t slot = resident_slot(ctx, *enc, tcs_addr);
+  if (slot == kNotResident) return not_resident();
   EpcPage& page = epc_[slot];
   if (page.type != PageType::kTcs)
     return Error(ErrorCode::kInvalidArgument, "ERESUME: not a TCS page");
@@ -469,7 +485,8 @@ Result<Bytes> SgxHardware::eresume(sim::ThreadCtx& ctx, CoreState& core,
     return Error(ErrorCode::kFailedPrecondition, "ERESUME: no saved state");
 
   uint64_t ssa_addr = enc->secs.base + tcs.ossa + (tcs.cssa - 1) * kSsaFrameSize;
-  MIG_ASSIGN_OR_RETURN(size_t ssa_slot, resident_slot(ctx, *enc, ssa_addr));
+  size_t ssa_slot = resident_slot(ctx, *enc, ssa_addr);
+  if (ssa_slot == kNotResident) return not_resident();
   Reader r(epc_[ssa_slot].data);
   Bytes context = r.bytes();
   if (!r.ok())
@@ -498,7 +515,8 @@ Status SgxHardware::enclave_read(sim::ThreadCtx& ctx, const CoreState& core,
   while (done < out.size()) {
     uint64_t addr = lin + done;
     uint64_t page_base = addr & ~(kPageSize - 1);
-    MIG_ASSIGN_OR_RETURN(size_t slot, resident_slot(ctx, *enc, page_base));
+    size_t slot = resident_slot(ctx, *enc, page_base);
+    if (slot == kNotResident) return not_resident();
     const EpcPage& page = epc_[slot];
     if (page.type != PageType::kReg)
       return Error(ErrorCode::kPermissionDenied,
@@ -526,7 +544,8 @@ Status SgxHardware::enclave_write(sim::ThreadCtx& ctx, const CoreState& core,
   while (done < data.size()) {
     uint64_t addr = lin + done;
     uint64_t page_base = addr & ~(kPageSize - 1);
-    MIG_ASSIGN_OR_RETURN(size_t slot, resident_slot(ctx, *enc, page_base));
+    size_t slot = resident_slot(ctx, *enc, page_base);
+    if (slot == kNotResident) return not_resident();
     EpcPage& page = epc_[slot];
     if (page.type != PageType::kReg)
       return Error(ErrorCode::kPermissionDenied,
@@ -602,7 +621,7 @@ uint64_t SgxHardware::free_epc_pages() const {
 
 bool SgxHardware::page_resident(EnclaveId eid, uint64_t lin) const {
   const Enclave* enc = find(eid);
-  return enc != nullptr && enc->pages.count(lin) > 0;
+  return enc != nullptr && slot_of(*enc, lin) != kNotResident;
 }
 
 const Secs* SgxHardware::secs(EnclaveId eid) const {
@@ -618,8 +637,10 @@ std::vector<uint64_t> SgxHardware::resident_pages(EnclaveId eid) const {
   std::vector<uint64_t> out;
   const Enclave* enc = find(eid);
   if (enc == nullptr) return out;
-  out.reserve(enc->pages.size());
-  for (const auto& [lin, slot] : enc->pages) out.push_back(lin);
+  out.reserve(enc->resident);
+  for (size_t i = 0; i < enc->pages.size(); ++i)
+    if (enc->pages[i] != kNotResident)
+      out.push_back(enc->secs.base + i * kPageSize);
   return out;
 }
 
@@ -627,11 +648,11 @@ Result<uint64_t> SgxHardware::debug_read_cssa_for_test(EnclaveId eid,
                                                        uint64_t tcs_addr) const {
   const Enclave* enc = find(eid);
   if (enc == nullptr) return Status(not_found("no such enclave"));
-  auto it = enc->pages.find(tcs_addr);
-  if (it == enc->pages.end()) return Status(not_found("TCS not resident"));
-  if (epc_[it->second].type != PageType::kTcs)
+  size_t slot = slot_of(*enc, tcs_addr);
+  if (slot == kNotResident) return Status(not_found("TCS not resident"));
+  if (epc_[slot].type != PageType::kTcs)
     return Error(ErrorCode::kInvalidArgument, "not a TCS");
-  return epc_[it->second].tcs->cssa;
+  return epc_[slot].tcs->cssa;
 }
 
 }  // namespace mig::sgx

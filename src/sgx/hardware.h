@@ -203,11 +203,17 @@ class SgxHardware {
     std::vector<uint64_t> va_slots;   // for PT_VA pages
   };
 
+  // An entry of Enclave::pages for a page that is not in the EPC.
+  static constexpr size_t kNotResident = SIZE_MAX;
+
   struct Enclave {
     Secs secs;
     size_t secs_slot = 0;
-    // Resident page table: lin_addr -> EPC slot.
-    std::map<uint64_t, size_t> pages;
+    // Resident page table: entry (lin - secs.base) / kPageSize holds the
+    // page's EPC slot or kNotResident. It grows only to the highest page
+    // index ever mapped; `resident` counts the entries that hold a slot.
+    std::vector<size_t> pages;
+    uint64_t resident = 0;
     bool migrating = false;  // §VII-B EMIGRATE freeze
     crypto::Sha256 migrate_hash;  // running hash of ESWPOUT'ed pages
     uint64_t migrate_pages = 0;
@@ -217,9 +223,36 @@ class SgxHardware {
   };
 
   Result<size_t> alloc_slot();
-  Enclave* find(EnclaveId eid);
-  const Enclave* find(EnclaveId eid) const;
-  Result<size_t> resident_slot(sim::ThreadCtx& ctx, Enclave& enc, uint64_t lin_page);
+  // Registers a new enclave whose SECS sits in `secs_slot`, under the next
+  // eid. Eids are never reused.
+  Enclave& add_enclave(size_t secs_slot);
+  Enclave* find(EnclaveId eid) {
+    return eid < enclaves_.size() ? enclaves_[eid].get() : nullptr;
+  }
+  const Enclave* find(EnclaveId eid) const {
+    return eid < enclaves_.size() ? enclaves_[eid].get() : nullptr;
+  }
+  // The EPC slot of the page at `lin`, or kNotResident when `lin` is not
+  // page-aligned, lies outside the table, or is evicted. The one page lookup.
+  static size_t slot_of(const Enclave& enc, uint64_t lin) {
+    uint64_t off = lin - enc.secs.base;  // wraps past the table below base
+    if (off % kPageSize != 0 || off / kPageSize >= enc.pages.size())
+      return kNotResident;
+    return enc.pages[off / kPageSize];
+  }
+  // Enters a page that lies in the enclave's range into its table.
+  void map_page(Enclave& enc, uint64_t lin, size_t slot);
+  // Frees a resident page's EPC slot and clears its entry.
+  void unmap_page(Enclave& enc, uint64_t lin);
+  // Frees every EPC slot of the enclave, its SECS too, and kills its eid.
+  void remove_enclave(Enclave& enc);
+  // Demand paging: a hit is a table load; a miss asks the fault handler to
+  // swap the page in, then looks again. kNotResident if it stays out.
+  size_t resident_slot(sim::ThreadCtx& ctx, Enclave& enc, uint64_t lin_page) {
+    size_t slot = slot_of(enc, lin_page);
+    return slot != kNotResident ? slot : fault_in(ctx, enc, lin_page);
+  }
+  size_t fault_in(sim::ThreadCtx& ctx, Enclave& enc, uint64_t lin_page);
   Bytes serialize_page_payload(const EpcPage& page) const;
   void deserialize_page_payload(EpcPage& page, ByteSpan payload) const;
   Bytes paging_mac_input(const EvictedPage& page) const;
@@ -242,9 +275,10 @@ class SgxHardware {
   // Slots up to the high-water mark of allocated pages; capacity is reserved
   // for the whole configured EPC.
   std::vector<EpcPage> epc_;
-  std::map<EnclaveId, Enclave> enclaves_;
+  // Indexed by eid; entry 0 (kNoEnclave) and removed enclaves are null.
+  // The next eid is the table's size.
+  std::vector<std::unique_ptr<Enclave>> enclaves_;
   std::map<uint64_t, size_t> va_pages_;  // va id -> EPC slot
-  EnclaveId next_eid_ = 1;
   uint64_t next_va_id_ = 1;
   uint64_t version_counter_ = 0;
   FaultHandler fault_;

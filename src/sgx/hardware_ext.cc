@@ -44,7 +44,8 @@ Status SgxHardware::emigrate(sim::ThreadCtx& ctx, EnclaveId eid) {
   if (migration_enc_key_.empty())
     return Error(ErrorCode::kFailedPrecondition, "EMIGRATE before EPUTKEY");
   // Deny while any logical processor is inside.
-  for (const auto& [lin, slot] : enc->pages) {
+  for (size_t slot : enc->pages) {
+    if (slot == kNotResident) continue;
     const EpcPage& p = epc_[slot];
     if (p.type == PageType::kTcs && p.tcs->busy)
       return Error(ErrorCode::kFailedPrecondition, "EMIGRATE: enclave running");
@@ -72,12 +73,12 @@ Result<SgxHardware::MigratedPage> SgxHardware::eswpout(sim::ThreadCtx& ctx,
   if (enc == nullptr) return Error(ErrorCode::kNotFound, "ESWPOUT: no enclave");
   if (!enc->migrating)
     return Error(ErrorCode::kFailedPrecondition, "ESWPOUT before EMIGRATE");
-  auto it = enc->pages.find(lin_addr);
-  if (it == enc->pages.end())
+  size_t slot = slot_of(*enc, lin_addr);
+  if (slot == kNotResident)
     return Error(ErrorCode::kNotFound, "ESWPOUT: page not resident");
   ctx.work_atomic(cost_->ewb_ns_per_page);
 
-  const EpcPage& page = epc_[it->second];
+  const EpcPage& page = epc_[slot];
   MigratedPage out;
   out.eid = eid;
   out.lin_addr = lin_addr;
@@ -186,10 +187,7 @@ Result<EnclaveId> SgxHardware::emigrate_import_secs(sim::ThreadCtx& ctx,
 
   ctx.work_atomic(cost_->ecreate_ns);
   MIG_ASSIGN_OR_RETURN(size_t slot, alloc_slot());
-  epc_[slot].type = PageType::kSecs;
-  EnclaveId eid = next_eid_++;
-  Enclave& enc = enclaves_[eid];
-  enc.secs.eid = eid;
+  Enclave& enc = add_enclave(slot);
   enc.secs.base = base;
   enc.secs.size = size;
   enc.secs.isv_prod_id = prod;
@@ -197,12 +195,10 @@ Result<EnclaveId> SgxHardware::emigrate_import_secs(sim::ThreadCtx& ctx,
   enc.secs.initialized = true;
   std::copy(mrenclave.begin(), mrenclave.end(), enc.secs.mrenclave.begin());
   std::copy(mrsigner.begin(), mrsigner.end(), enc.secs.mrsigner.begin());
-  enc.secs_slot = slot;
-  epc_[slot].eid = eid;
   enc.migrating = true;  // frozen until EMIGRATEDONE
   enc.import_hash = crypto::Sha256();
   enc.import_pages = 0;
-  return eid;
+  return enc.secs.eid;
 }
 
 Status SgxHardware::eswpin(sim::ThreadCtx& ctx, EnclaveId eid,
@@ -212,7 +208,7 @@ Status SgxHardware::eswpin(sim::ThreadCtx& ctx, EnclaveId eid,
   if (enc == nullptr) return Error(ErrorCode::kNotFound, "ESWPIN: no enclave");
   if (!enc->migrating)
     return Error(ErrorCode::kFailedPrecondition, "ESWPIN on a live enclave");
-  if (enc->pages.count(page.lin_addr))
+  if (slot_of(*enc, page.lin_addr) != kNotResident)
     return Error(ErrorCode::kFailedPrecondition, "ESWPIN: page already present");
   Writer macw;
   macw.u64(page.lin_addr);
@@ -221,6 +217,12 @@ Status SgxHardware::eswpin(sim::ThreadCtx& ctx, EnclaveId eid,
   crypto::Digest mac = crypto::hmac_sha256(migration_mac_key_, macw.data());
   if (!crypto::ct_equal(mac, page.mac))
     return Error(ErrorCode::kIntegrityViolation, "ESWPIN: MAC mismatch");
+  // Only a holder of the migration MAC key can name an address: one outside
+  // the enclave's range has no entry in its page table.
+  uint64_t off = page.lin_addr - enc->secs.base;
+  if (page.lin_addr < enc->secs.base || off >= enc->secs.size ||
+      off % kPageSize != 0)
+    return Error(ErrorCode::kInvalidArgument, "ESWPIN: address outside enclave");
 
   ctx.work_atomic(cost_->eldb_ns_per_page);
   MIG_ASSIGN_OR_RETURN(size_t slot, alloc_slot());
@@ -232,7 +234,7 @@ Status SgxHardware::eswpin(sim::ThreadCtx& ctx, EnclaveId eid,
   epc_page.eid = eid;
   epc_page.lin_addr = page.lin_addr;
   epc_page.perms = page.perms;
-  enc->pages[page.lin_addr] = slot;
+  map_page(*enc, page.lin_addr, slot);
 
   enc->import_hash.update(migrated_page_hash(page));
   enc->import_pages += 1;

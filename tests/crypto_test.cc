@@ -179,6 +179,35 @@ TEST(Rc4, RoundTrip) {
   EXPECT_EQ(rc4_apply(to_bytes("some key"), ct), data);
 }
 
+// The cipher keeps its place in the keystream between calls: a stream cut
+// anywhere into two calls equals one call.
+TEST(Rc4, SplitStreamMatchesOneCall) {
+  const Bytes data = Drbg(to_bytes("rc4-split")).generate(1024);
+  const Bytes whole = rc4_apply(to_bytes("split key"), data);
+  for (size_t cut = 0; cut <= data.size(); ++cut) {
+    Bytes buf = data;
+    Rc4 rc4(to_bytes("split key"));
+    MutByteSpan span(buf);
+    rc4.xor_stream(span.first(cut));
+    rc4.xor_stream(span.subspan(cut));
+    ASSERT_EQ(buf, whole) << "cut at " << cut;
+  }
+}
+
+// SHA-256 of the first MiB of keystream for one key, drawn in uneven calls.
+TEST(Rc4, LongKeystreamHashIsPinned) {
+  Bytes stream(1 << 20, 0);
+  Rc4 rc4(to_bytes("long keystream"));
+  MutByteSpan rest(stream);
+  for (size_t n = 1; !rest.empty(); n = n * 7 % 65'521 + 1) {
+    size_t take = std::min(n, rest.size());
+    rc4.xor_stream(rest.first(take));
+    rest = rest.subspan(take);
+  }
+  EXPECT_EQ(hex_encode(Sha256::hash(stream)),
+            "5a5a78b7bfa6b99382653391373adca89604923968ec4ba7543590b9c3cbe6eb");
+}
+
 // --------------------------------------------------------------------- DES
 
 TEST(Des, Fips46Vector) {

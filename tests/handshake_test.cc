@@ -269,7 +269,9 @@ TEST(KeyHandshake, SourceRefusesAnotherEnclaveAndKeepsItsKey) {
     // The refusal travels as the bare bytes "REFUSE", not as a framed tag.
     ASSERT_EQ(answers.size(), 1u);
     EXPECT_EQ(answers[0], to_bytes("REFUSE"));
-    EXPECT_FALSE(fetch_status.ok());
+    EXPECT_EQ(fetch_status.code(), ErrorCode::kAborted)
+        << fetch_status.to_string();
+    EXPECT_EQ(fetch_status.message(), "source refused key exchange");
 
     // The source kept Kmigrate and did not self-destroy: the genuine target
     // restores from the same checkpoint.

@@ -21,6 +21,7 @@
 #include "crypto/dh.h"
 #include "crypto/drbg.h"
 #include "crypto/hmac.h"
+#include "crypto/kernels.h"
 #include "crypto/sha256.h"
 #include "sim/executor.h"
 
@@ -121,6 +122,37 @@ void BM_DhFixedBase(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DhFixedBase);
+
+// One Montgomery squaring on Oakley 2's 16-word modulus, by the product
+// kernel with b = a (arg 0) or by the squaring kernel (arg 1), each the one
+// this CPU runs: the squaring kernel earns its place only while it is
+// clearly the cheaper.
+void BM_MontSquare(benchmark::State& state) {
+  constexpr size_t n = 16;
+  const crypto::BigNum& p = crypto::DhGroup::oakley2().p;
+  const Bytes seed = crypto::Drbg(to_bytes("x")).generate(8 * n);
+  const crypto::BigNum x0 = crypto::BigNum::from_bytes(seed) % p;
+  const Bytes pb = p.to_bytes_padded(8 * n), xb = x0.to_bytes_padded(8 * n);
+  std::vector<uint64_t> m(n), x(n), t(2 * n + 1);
+  for (size_t i = 0; i < 8 * n; ++i) {
+    m[i / 8] |= uint64_t{pb[8 * n - 1 - i]} << (8 * (i % 8));
+    x[i / 8] |= uint64_t{xb[8 * n - 1 - i]} << (8 * (i % 8));
+  }
+  uint64_t inv = m[0];  // m[0]^-1 mod 2^64 by Newton's iteration
+  for (int i = 0; i < 5; ++i) inv *= 2 - m[0] * inv;
+  const uint64_t m_inv = 0 - inv;
+  const crypto::kernels::MontMulFn mul = crypto::kernels::mont_mul();
+  const crypto::kernels::MontSqrFn sqr = crypto::kernels::mont_sqr();
+  for (auto _ : state) {
+    if (state.range(0))
+      sqr(x.data(), x.data(), m.data(), m_inv, n, t.data());
+    else
+      mul(x.data(), x.data(), x.data(), m.data(), m_inv, n, t.data());
+    benchmark::DoNotOptimize(x.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_MontSquare)->Arg(0)->Arg(1);
 
 void BM_SchnorrSignVerify(benchmark::State& state) {
   crypto::Drbg rng(to_bytes("sig"));

@@ -389,6 +389,92 @@ __attribute__((always_inline)) inline uint64_t mul_add_row(uint64_t* t,
   return hi;
 }
 
+// The same row on unsigned __int128 products.
+uint64_t mul_add_row_portable(uint64_t* t, const uint64_t* v, uint64_t x,
+                              size_t n) {
+  uint64_t c = 0;
+  for (size_t j = 0; j < n; ++j) {
+    u128 s = u128{x} * v[j] + t[j] + c;
+    t[j] = static_cast<uint64_t>(s);
+    c = static_cast<uint64_t>(s >> 64);
+  }
+  return c;
+}
+
+// t[0..2n) = 2 t + sum a[i]^2 2^(128 i), where the result fits in 2n words.
+// Two carry chains again: ADCX doubles each word (t + t + CF), ADOX adds
+// the square's half (OF). Loop control as in mul_add_row.
+__attribute__((always_inline)) inline void double_add_squares(
+    uint64_t* t, const uint64_t* a, size_t n) {
+  uint64_t lo, hi, w0, w1;
+  int64_t count = -static_cast<int64_t>(n);
+  asm volatile(
+      "xorl %k[lo], %k[lo]\n\t"  // CF = OF = 0
+      "jmp 2f\n"
+      "1:\n\t"
+      "movq (%[a]), %%rdx\n\t"
+      "mulxq %%rdx, %[lo], %[hi]\n\t"
+      "movq (%[t]), %[w0]\n\t"
+      "movq 8(%[t]), %[w1]\n\t"
+      "adcxq %[w0], %[w0]\n\t"
+      "adoxq %[lo], %[w0]\n\t"
+      "adcxq %[w1], %[w1]\n\t"
+      "adoxq %[hi], %[w1]\n\t"
+      "movq %[w0], (%[t])\n\t"
+      "movq %[w1], 8(%[t])\n\t"
+      "leaq 8(%[a]), %[a]\n\t"
+      "leaq 16(%[t]), %[t]\n\t"
+      "leaq 1(%%rcx), %%rcx\n"
+      "2:\n\t"
+      "jrcxz 3f\n\t"
+      "jmp 1b\n"
+      "3:"
+      : [lo] "=&r"(lo), [hi] "=&r"(hi), [w0] "=&r"(w0), [w1] "=&r"(w1),
+        [a] "+r"(a), [t] "+r"(t), "+c"(count)
+      :
+      : "rdx", "cc", "memory");
+}
+
+// The same pass on unsigned __int128 sums.
+void double_add_squares_portable(uint64_t* t, const uint64_t* a, size_t n) {
+  uint64_t shift_in = 0, carry = 0;  // bit doubling moves up; sum's carry
+  for (size_t i = 0; i < n; ++i) {
+    const u128 sq = u128{a[i]} * a[i];
+    const uint64_t lo = t[2 * i], hi = t[2 * i + 1];
+    u128 s = u128{(lo << 1) | shift_in} + static_cast<uint64_t>(sq) + carry;
+    t[2 * i] = static_cast<uint64_t>(s);
+    s = u128{(hi << 1) | (lo >> 63)} + static_cast<uint64_t>(sq >> 64) +
+        static_cast<uint64_t>(s >> 64);
+    t[2 * i + 1] = static_cast<uint64_t>(s);
+    carry = static_cast<uint64_t>(s >> 64);
+    shift_in = hi >> 63;
+  }
+}
+
+// Both squaring kernels, on either pair of passes. t[0..2n) first holds the
+// cross products a[i] * a[j] for i < j (row i adds a[i] * a[i+1..n) at word
+// 2i + 1; its carry word lands on t[i + n], which no earlier row reached),
+// then twice that plus each a[i]^2 at word 2i, which is a^2. The reduction
+// adds u * m at word i to clear it, for i < n, with a one-bit carry riding
+// above word i + n; what is left, t[n..2n) plus that bit, is below 2m.
+template <uint64_t (*Row)(uint64_t*, const uint64_t*, uint64_t, size_t),
+          void (*DoubleAddSquares)(uint64_t*, const uint64_t*, size_t)>
+__attribute__((always_inline)) inline void mont_sqr_rows(
+    uint64_t* out, const uint64_t* a, const uint64_t* m, uint64_t m_inv,
+    size_t n, uint64_t* t) {
+  std::fill(t, t + 2 * n, 0);
+  for (size_t i = 0; i + 1 < n; ++i)
+    t[i + n] = Row(&t[2 * i + 1], &a[i + 1], a[i], n - 1 - i);
+  DoubleAddSquares(t, a, n);
+  uint64_t top = 0;
+  for (size_t i = 0; i < n; ++i) {
+    u128 s = u128{t[i + n]} + Row(&t[i], m, t[i] * m_inv, n) + top;
+    t[i + n] = static_cast<uint64_t>(s);
+    top = static_cast<uint64_t>(s >> 64);
+  }
+  reduce_once(out, t + n, top, m, n);
+}
+
 }  // namespace
 
 namespace kernels {
@@ -456,28 +542,52 @@ MontMulFn mont_mul() {
   return kernel;
 }
 
+void mont_sqr_portable(uint64_t* out, const uint64_t* a, const uint64_t* m,
+                       uint64_t m_inv, size_t n, uint64_t* t) {
+  mont_sqr_rows<mul_add_row_portable, double_add_squares_portable>(
+      out, a, m, m_inv, n, t);
+}
+
+__attribute__((target("bmi2,adx"))) void mont_sqr_adx(
+    uint64_t* out, const uint64_t* a, const uint64_t* m, uint64_t m_inv,
+    size_t n, uint64_t* t) {
+  mont_sqr_rows<mul_add_row, double_add_squares>(out, a, m, m_inv, n, t);
+}
+
+MontSqrFn mont_sqr() {
+  static const MontSqrFn kernel =
+      cpu_has_adx() ? mont_sqr_adx : mont_sqr_portable;
+  return kernel;
+}
+
 }  // namespace kernels
 
 namespace {
 
 // Montgomery multiplication modulo an odd m of n 64-bit words, R = 2^(64n),
-// on the kernel this CPU runs best.
+// on the kernels this CPU runs best.
 class MontMul {
  public:
   MontMul(const Words& m, uint64_t m_inv)
       : m_(m), m_inv_(m_inv), t_(2 * m.size() + 1),
-        kernel_(kernels::mont_mul()) {}
+        mul_(kernels::mont_mul()), sqr_(kernels::mont_sqr()) {}
 
   // out = a * b / R mod m for a, b < m. out may alias a or b.
   void operator()(uint64_t* out, const uint64_t* a, const uint64_t* b) {
-    kernel_(out, a, b, m_.data(), m_inv_, m_.size(), t_.data());
+    mul_(out, a, b, m_.data(), m_inv_, m_.size(), t_.data());
+  }
+
+  // out = a * a / R mod m for a < m. out may alias a.
+  void sqr(uint64_t* out, const uint64_t* a) {
+    sqr_(out, a, m_.data(), m_inv_, m_.size(), t_.data());
   }
 
  private:
   const Words& m_;
   uint64_t m_inv_;
   Words t_;
-  kernels::MontMulFn kernel_;
+  kernels::MontMulFn mul_;
+  kernels::MontSqrFn sqr_;
 };
 
 }  // namespace
@@ -512,7 +622,7 @@ BigNum BigNum::modexp(const BigNum& e, const BigNum& m) const {
   const size_t digits = (e.bit_length() + 3) / 4;
   for (size_t i = digits; i-- > 0;) {
     if (i + 1 < digits)
-      for (int k = 0; k < 4; ++k) mul(acc.data(), acc.data(), acc.data());
+      for (int k = 0; k < 4; ++k) mul.sqr(acc.data(), acc.data());
     if (unsigned d = nibble(e, i)) mul(acc.data(), acc.data(), &table[d * n]);
   }
   mul(acc.data(), acc.data(), one.data());
@@ -520,55 +630,77 @@ BigNum BigNum::modexp(const BigNum& e, const BigNum& m) const {
 }
 
 FixedBaseTable::FixedBaseTable(const BigNum& base, const BigNum& m,
-                               size_t max_exp_bits)
-    : base_(base), m_(m), digits_((max_exp_bits + 3) / 4) {
+                               size_t max_exp_bits, size_t rows,
+                               size_t blocks)
+    : base_(base),
+      m_(m),
+      max_bits_(max_exp_bits),
+      rows_(rows),
+      blocks_(blocks),
+      row_bits_((max_exp_bits + rows - 1) / rows),
+      block_bits_((row_bits_ + blocks - 1) / blocks) {
   MIG_CHECK(m.is_odd() && BigNum(1) < m);
+  MIG_CHECK(max_exp_bits > 0 && rows > 0 && rows < 16 && blocks > 0);
+  // Every block holds a column, so the bit offsets s a + j b of the entries
+  // 2^s rise with (s, j).
+  MIG_CHECK((blocks_ - 1) * block_bits_ < row_bits_);
   const MontModulus mod(m);
   const size_t n = mod.m.size();
   mod_ = mod.m;
   m_inv_ = mod.m_inv;
   MontMul mul(mod_, m_inv_);
-  const Words b = to_words(base % m, n);
-  // Row i holds base^(16^i) R mod m: row 0 from the base, each next row
-  // four squarings of the last.
-  table_.resize(digits_ * n);
-  mul(table_.data(), b.data(), mod.r2.data());
-  for (size_t i = 1; i < digits_; ++i) {
-    uint64_t* row = &table_[i * n];
-    mul(row, row - n, row - n);
-    for (int k = 0; k < 3; ++k) mul(row, row, row);
+  const size_t entries = size_t{1} << rows_;
+  table_.assign(blocks_ * entries * n, 0);
+  // Entry 2^s of block j is base^(2^(s a + j b)) R: one walk up the powers
+  // base^(2^k) R by squaring passes each in turn. Entry 0 is never read.
+  Words x = to_words(base % m, n);
+  mul(x.data(), x.data(), mod.r2.data());
+  size_t k = 0;
+  for (size_t s = 0; s < rows_; ++s) {
+    for (size_t j = 0; j < blocks_; ++j) {
+      for (; k < s * row_bits_ + j * block_bits_; ++k)
+        mul.sqr(x.data(), x.data());
+      const size_t entry = j * entries + (size_t{1} << s);
+      std::copy(x.begin(), x.end(), &table_[entry * n]);
+    }
+  }
+  // Every other entry is one product: i = top + rest, top its highest bit.
+  for (size_t j = 0; j < blocks_; ++j) {
+    uint64_t* block = &table_[j * entries * n];
+    for (size_t top = 2; top < entries; top <<= 1)
+      for (size_t rest = 1; rest < top; ++rest)
+        mul(&block[(top + rest) * n], &block[top * n], &block[rest * n]);
   }
 }
 
 BigNum FixedBaseTable::pow(const BigNum& e) const {
-  if (e.bit_length() > 4 * digits_) return base_.modexp(e, m_);
-  // Yao: with e = sum d_i 16^i, base^e = prod_{j=15..1} B_j where B_j is
-  // the product of the rows whose digit is >= j. B grows one row at a time
-  // as j falls, and A picks up B once per j.
+  if (e.bit_length() > max_bits_) return base_.modexp(e, m_);
+  // Column k of block j gathers bit s a + j b + k of e for every row s into
+  // an entry index; A = A^2 once per k, then A *= entry for every block.
   const size_t n = mod_.size();
-  std::vector<uint8_t> digit(digits_);
-  for (size_t i = 0; i < digits_; ++i) digit[i] = nibble(e, i);
+  const Words ew = to_words(e, (rows_ * row_bits_ + 63) / 64);
+  auto bit = [&](size_t i) -> size_t { return (ew[i / 64] >> (i % 64)) & 1; };
   MontMul mul(mod_, m_inv_);
-  const Words one = to_words(BigNum(1), n);
-  Words a, b;  // empty = 1
-  for (unsigned j = 15; j >= 1; --j) {
-    for (size_t i = 0; i < digits_; ++i) {
-      if (digit[i] != j) continue;
-      const uint64_t* row = &table_[i * n];
-      if (b.empty())
-        b.assign(row, row + n);
+  Words acc;  // empty = 1
+  for (size_t k = block_bits_; k-- > 0;) {
+    if (!acc.empty()) mul.sqr(acc.data(), acc.data());
+    for (size_t j = blocks_; j-- > 0;) {
+      const size_t column = j * block_bits_ + k;
+      if (column >= row_bits_) continue;
+      size_t index = 0;
+      for (size_t s = 0; s < rows_; ++s)
+        index |= bit(s * row_bits_ + column) << s;
+      if (index == 0) continue;
+      const uint64_t* entry = &table_[((j << rows_) + index) * n];
+      if (acc.empty())
+        acc.assign(entry, entry + n);
       else
-        mul(b.data(), b.data(), row);
+        mul(acc.data(), acc.data(), entry);
     }
-    if (b.empty()) continue;
-    if (a.empty())
-      a = b;
-    else
-      mul(a.data(), a.data(), b.data());
   }
-  if (a.empty()) return BigNum(1);
-  mul(a.data(), a.data(), one.data());
-  return from_words(a);
+  if (acc.empty()) return BigNum(1);
+  mul(acc.data(), acc.data(), to_words(BigNum(1), n).data());
+  return from_words(acc);
 }
 
 }  // namespace mig::crypto

@@ -4,13 +4,15 @@
 // general arithmetic is schoolbook (Knuth D for division). Modular
 // exponentiation, the one operation hot enough to matter in wall-clock
 // terms, runs on 64-bit limbs: Montgomery CIOS multiplication with a fixed
-// 4-bit window for odd moduli, plus FixedBaseTable for bases that never
-// change (the group generators). The Montgomery product runs on MULX with
-// the ADCX/ADOX carry chains when CPUID reports bmi2 and adx, otherwise on
-// portable unsigned __int128 arithmetic; the choice is made once per
-// process (crypto/kernels.h). Results are exact, so neither the algorithm
-// nor the kernel ever shows in a value; the cost model, not this code,
-// supplies the virtual-time price of crypto.
+// 4-bit window for odd moduli, plus FixedBaseTable, a Lim–Lee comb, for
+// bases that are raised to many exponents (the group generator, and each
+// recently used signature-verification key). Squarings run on their own
+// Montgomery kernel, which forms each cross product once. Both kernels run
+// on MULX with the ADCX/ADOX carry chains when CPUID reports bmi2 and adx,
+// otherwise on portable unsigned __int128 arithmetic; the choice is made
+// once per process (crypto/kernels.h). Results are exact, so neither the
+// algorithm nor the kernel ever shows in a value; the cost model, not this
+// code, supplies the virtual-time price of crypto.
 #pragma once
 
 #include <cstdint>
@@ -75,25 +77,35 @@ class BigNum {
   std::vector<uint32_t> limbs_;  // little-endian; no trailing zero limbs
 };
 
-// base^e mod m for one fixed base and odd modulus m > 1, from precomputed
-// powers base^(16^i), i < ceil(max_exp_bits / 4), in Montgomery form
-// (Yao's method: one multiply per nonzero 4-bit digit plus 15, no
-// squarings). Exponents wider than max_exp_bits fall back to
-// base.modexp(e, m); either way the result equals base.modexp(e, m).
+// base^e mod m for one fixed base and odd modulus m > 1, by the Lim–Lee
+// fixed-base comb (Handbook of Applied Cryptography, Alg. 14.117). The
+// exponent's max_exp_bits bits are laid out as `rows` rows of
+// a = ceil(max_exp_bits / rows) bits, and each row is cut into `blocks`
+// blocks of b = ceil(a / blocks) bits. Entry i of block j holds
+// base^(sum_s i_s 2^(s a + j b)) in Montgomery form, for every rows-bit i:
+// blocks * 2^rows entries, built from about (rows - 1) a + (blocks - 1) b
+// squarings and one product per entry. pow then takes b - 1 squarings and
+// at most blocks * b products. Exponents wider than max_exp_bits fall back
+// to base.modexp(e, m); either way the result equals base.modexp(e, m).
 class FixedBaseTable {
  public:
   FixedBaseTable() = default;
-  FixedBaseTable(const BigNum& base, const BigNum& m, size_t max_exp_bits);
+  FixedBaseTable(const BigNum& base, const BigNum& m, size_t max_exp_bits,
+                 size_t rows, size_t blocks);
 
   BigNum pow(const BigNum& e) const;
 
  private:
   BigNum base_;
   BigNum m_;
-  std::vector<uint64_t> mod_;    // m as 64-bit words
-  uint64_t m_inv_ = 0;           // -m^-1 mod 2^64
-  size_t digits_ = 0;            // table rows
-  std::vector<uint64_t> table_;  // digits_ rows of mod_.size() words
+  std::vector<uint64_t> mod_;  // m as 64-bit words
+  uint64_t m_inv_ = 0;         // -m^-1 mod 2^64
+  size_t max_bits_ = 0;
+  size_t rows_ = 0;
+  size_t blocks_ = 0;
+  size_t row_bits_ = 0;          // a
+  size_t block_bits_ = 0;        // b
+  std::vector<uint64_t> table_;  // blocks_ * 2^rows_ entries of n words
 };
 
 }  // namespace mig::crypto

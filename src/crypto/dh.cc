@@ -1,5 +1,8 @@
 #include "crypto/dh.h"
 
+#include <algorithm>
+#include <vector>
+
 #include "crypto/hmac.h"
 #include "crypto/sha256.h"
 #include "util/check.h"
@@ -37,8 +40,7 @@ const DhGroup& DhGroup::oakley2() {
     g.q = (g.p - BigNum(1)) / BigNum(2);
     g.gq = BigNum(4);
     g.byte_len = 128;
-    g.g_table = FixedBaseTable(g.g, g.p, 8 * g.byte_len);
-    g.gq_table = FixedBaseTable(g.gq, g.p, 8 * g.byte_len);
+    g.g_table = FixedBaseTable(g.g, g.p, 8 * g.byte_len, 8, 4);
     return g;
   }();
   return group;
@@ -71,23 +73,48 @@ Result<Bytes> dh_session_key(std::string_view label, const BigNum& priv,
 SigKeyPair sig_keygen(Drbg& rng, const DhGroup& group) {
   SigKeyPair kp;
   kp.sk = random_exponent(rng, group);
-  kp.pk = group.gq_table.pow(kp.sk);
+  kp.pk = group.gq_pow(kp.sk);
   return kp;
 }
 
 namespace {
+constexpr size_t kChallengeBits = 8 * sizeof(Digest);
+constexpr size_t kKeyCacheSize = 16;
+
 BigNum challenge(const BigNum& r, ByteSpan message, const DhGroup& group) {
   Bytes input = r.to_bytes_padded(group.byte_len);
   append(input, message);
   Digest d = Sha256::hash(input);
   return BigNum::from_bytes(d) % group.q;
 }
+
+// pk^e mod p through the comb of the cached key, built on a miss. The cache
+// is per OS thread, so it needs no lock; the simulator's sim threads are
+// fibers on one.
+BigNum key_pow(const BigNum& pk, const BigNum& e, const DhGroup& group) {
+  struct Entry {
+    BigNum pk;
+    BigNum p;
+    FixedBaseTable table;
+  };
+  thread_local std::vector<Entry> cache;  // most recently used first
+  auto it = std::find_if(cache.begin(), cache.end(), [&](const Entry& k) {
+    return k.pk == pk && k.p == group.p;
+  });
+  if (it != cache.end()) {
+    std::rotate(cache.begin(), it, it + 1);
+  } else {
+    if (cache.size() == kKeyCacheSize) cache.pop_back();
+    cache.insert(cache.begin(), Entry{pk, group.p, sig_key_table(pk, group)});
+  }
+  return cache.front().table.pow(e);
+}
 }  // namespace
 
 Bytes sig_sign(const BigNum& sk, ByteSpan message, Drbg& rng,
                const DhGroup& group) {
   BigNum k = random_exponent(rng, group);
-  BigNum r = group.gq_table.pow(k);
+  BigNum r = group.gq_pow(k);
   BigNum e = challenge(r, message, group);
   BigNum s = (k + BigNum::modmul(e, sk, group.q)) % group.q;
   Writer w;
@@ -109,9 +136,13 @@ bool sig_verify(const BigNum& pk, ByteSpan message, ByteSpan signature,
   BigNum s = BigNum::from_bytes(s_bytes);
   if (r.is_zero() || !(r < group.p) || !(s < group.q)) return false;
   BigNum e = challenge(r, message, group);
-  BigNum lhs = group.gq_table.pow(s);
-  BigNum rhs = BigNum::modmul(r, pk.modexp(e, group.p), group.p);
+  BigNum lhs = group.gq_pow(s);
+  BigNum rhs = BigNum::modmul(r, key_pow(pk, e, group), group.p);
   return lhs == rhs;
+}
+
+FixedBaseTable sig_key_table(const BigNum& pk, const DhGroup& group) {
+  return FixedBaseTable(pk, group.p, kChallengeBits, 5, 2);
 }
 
 }  // namespace mig::crypto

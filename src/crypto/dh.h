@@ -9,14 +9,18 @@
 // squares (order q = (p-1)/2), generator 4.
 //
 // Most exponentiations raise a generator (key generation, signing, the
-// gq^s side of verification), so the group carries a FixedBaseTable for
-// each generator, built once with the group; only dh_shared and the pk^e
-// side of verification pay for a variable-base BigNum::modexp. Both paths
-// multiply with the Montgomery kernel the CPU runs best (MULX/ADCX/ADOX
-// where CPUID reports them, see bignum.h), and the Schnorr challenge hashes
-// on SHA-NI where present (sha256.h). Every value is the one plain modexp
-// would give, and the cost model charges the dh_*_ns / sig_*_ns virtual
-// time however fast the host computes it.
+// gq^s side of verification). The group keeps one Lim–Lee comb for g, built
+// once with the group, and takes gq^e as g^(2e), the same integer since
+// gq = g^2. The pk^e side of verification takes a comb per key from a
+// small per-thread cache of the keys verified last, so a key that signs
+// over and over pays for its comb once; only dh_shared, and a verify key
+// not yet in the cache, pay for a variable-base BigNum::modexp or a comb
+// build of about its cost.
+// Every path multiplies and squares with the Montgomery kernels the CPU
+// runs best (MULX/ADCX/ADOX where CPUID reports them, see bignum.h), and
+// the Schnorr challenge hashes on SHA-NI where present (sha256.h). Every
+// value is the one plain modexp would give, and the cost model charges the
+// dh_*_ns / sig_*_ns virtual time however fast the host computes it.
 #pragma once
 
 #include "crypto/bignum.h"
@@ -32,8 +36,14 @@ struct DhGroup {
   BigNum q;  // (p-1)/2, prime order of the subgroup of squares
   BigNum gq; // generator of the squares subgroup (4)
   size_t byte_len;  // serialized element width
-  FixedBaseTable g_table;   // g^e mod p, for e up to 8 * byte_len bits
-  FixedBaseTable gq_table;  // gq^e mod p, likewise
+  // g^e mod p, for e up to 8 * byte_len bits: a comb of 8 rows by 4 blocks
+  // (1,024 entries, 128 KB for Oakley 2), at most 159 products per power.
+  FixedBaseTable g_table;
+
+  // gq^e mod p, as g^(2e) from g_table.
+  BigNum gq_pow(const BigNum& e) const {
+    return g_table.pow(e.shifted_left(1));
+  }
 
   static const DhGroup& oakley2();
 };
@@ -71,8 +81,17 @@ Bytes sig_sign(const BigNum& sk, ByteSpan message, Drbg& rng,
                const DhGroup& group = DhGroup::oakley2());
 
 // False for a malformed signature and for a degenerate public key (pk <= 1
-// or pk >= p-1), under which anyone could forge.
+// or pk >= p-1), under which anyone could forge. pk^e comes from the comb of
+// sig_key_table, kept in a per-thread cache of the 16 keys used last
+// (matched by value, least recently used evicted); a key's comb is built
+// only once a signature under it has passed every check before pk^e.
 bool sig_verify(const BigNum& pk, ByteSpan message, ByteSpan signature,
                 const DhGroup& group = DhGroup::oakley2());
+
+// The comb sig_verify keeps for a verify key: pk^e mod p for a challenge
+// e < 2^256 (a SHA-256 digest), 5 rows by 2 blocks, 64 entries (8 KB for
+// Oakley 2), at most 77 products per power and about 290 to build.
+FixedBaseTable sig_key_table(const BigNum& pk,
+                             const DhGroup& group = DhGroup::oakley2());
 
 }  // namespace mig::crypto

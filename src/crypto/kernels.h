@@ -1,12 +1,13 @@
-// The two hot crypto kernels, each in a portable version and one on x86-64
+// The hot crypto kernels, each in a portable version and one on x86-64
 // instructions, and the choice between them. Private to src/crypto: BigNum
 // and Sha256 call the chosen kernel; the tests include this header to hold
-// each fast kernel to its portable reference.
+// each fast kernel to its portable reference, and micro_primitives to time
+// the squaring kernel against the product.
 //
 // The choice is made once per process from CPUID (the first call of
-// mont_mul() or sha256_blocks()); no option, environment variable or build
-// flag changes it. Both versions of a kernel give bit-identical results, so
-// the choice never shows in a value.
+// mont_mul(), mont_sqr() or sha256_blocks()); no option, environment
+// variable or build flag changes it. Both versions of a kernel give
+// bit-identical results, so the choice never shows in a value.
 #pragma once
 
 #include <cstddef>
@@ -33,6 +34,26 @@ void mont_mul_adx(uint64_t* out, const uint64_t* a, const uint64_t* b,
 
 bool cpu_has_adx();    // the CPU has both adx and bmi2
 MontMulFn mont_mul();  // mont_mul_adx if cpu_has_adx(), else the portable one
+
+// ---- Montgomery squaring ----------------------------------------------------
+//
+// out = a * a / R mod m: the value the product gives for b = a, from about
+// 3n^2/2 word products instead of 2n^2. The square is formed first (each
+// cross product a[i] * a[j], i < j, once, then doubled, plus the n squares
+// a[i]^2) and then reduced a word at a time. Same contract as MontMulFn:
+// a < m, t is scratch of at least 2n + 1 words, out may alias a.
+using MontSqrFn = void (*)(uint64_t* out, const uint64_t* a, const uint64_t* m,
+                           uint64_t m_inv, size_t n, uint64_t* t);
+
+// On unsigned __int128 products.
+void mont_sqr_portable(uint64_t* out, const uint64_t* a, const uint64_t* m,
+                       uint64_t m_inv, size_t n, uint64_t* t);
+// The cross products and the reduction on the product kernel's MULX row.
+// Needs bmi2 and adx.
+void mont_sqr_adx(uint64_t* out, const uint64_t* a, const uint64_t* m,
+                  uint64_t m_inv, size_t n, uint64_t* t);
+
+MontSqrFn mont_sqr();  // mont_sqr_adx if cpu_has_adx(), else the portable one
 
 // ---- SHA-256 compression ----------------------------------------------------
 //

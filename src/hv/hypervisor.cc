@@ -32,13 +32,6 @@ void Hypervisor::touch_vepc_page(sim::ThreadCtx& ctx, Vm& vm,
   st.mapped_pages = vepc_index + 1;
 }
 
-void Hypervisor::note_vmexit_in_enclave(sim::ThreadCtx& ctx, Vm& vm) {
-  auto it = vms_.find(&vm);
-  MIG_CHECK_MSG(it != vms_.end(), "vmexit from unattached VM");
-  ctx.work_atomic(machine_->cost().vmexit_ns);
-  ++it->second.vmexits_in_enclave;
-}
-
 const VEpcState& Hypervisor::vepc(const Vm& vm) const {
   auto it = vms_.find(&vm);
   MIG_CHECK_MSG(it != vms_.end(), "vepc query for unattached VM");

@@ -27,7 +27,6 @@ struct VEpcState {
   uint64_t vepc_pages = 0;    // size the guest was promised
   uint64_t mapped_pages = 0;  // currently backed by physical EPC
   uint64_t ept_violations = 0;
-  uint64_t vmexits_in_enclave = 0;  // "Enclave Interruption" bit set
 };
 
 class Hypervisor {
@@ -46,10 +45,6 @@ class Hypervisor {
   // First-touch of a vEPC page: EPT violation -> map backing. Subsequent
   // touches are free. The driver calls this before using a new EPC page.
   void touch_vepc_page(sim::ThreadCtx& ctx, Vm& vm, uint64_t vepc_index);
-
-  // A VMExit while a VCPU was executing inside an enclave sets the Enclave
-  // Interruption bit; the guest runtime reports these for accounting.
-  void note_vmexit_in_enclave(sim::ThreadCtx& ctx, Vm& vm);
 
   const VEpcState& vepc(const Vm& vm) const;
 

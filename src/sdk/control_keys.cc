@@ -371,7 +371,7 @@ ControlReply provision(ControlCore& c, ControlCmd& cmd) {
   crypto::BigNum sk = crypto::BigNum::from_bytes(enc_sk);
   const crypto::DhGroup& g = crypto::DhGroup::oakley2();
   c.env.work(c.env.cost().dh_keygen_ns);
-  if (!(g.gq_table.pow(sk) ==
+  if (!(g.gq_pow(sk) ==
         crypto::BigNum::from_bytes(config_blob(c, kIdentityPk))))
     return fail(ErrorCode::kAuthFailure, "provisioning key invalid");
   c.env.write_bytes(kOffIdentityPriv, sk.to_bytes_padded(160));

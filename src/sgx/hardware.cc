@@ -1,6 +1,7 @@
 #include "sgx/hardware.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "crypto/ciphers.h"
 #include "crypto/hmac.h"
@@ -503,6 +504,18 @@ Result<Bytes> SgxHardware::eresume(sim::ThreadCtx& ctx, CoreState& core,
 
 // ------------------------------------------------------------ memory access
 
+namespace {
+// Enclave code reads and writes mostly one 8-byte word at a time; a copy of
+// that fixed size compiles to a load and a store, where a run-time length
+// costs a libc memmove call per word.
+void copy_chunk(uint8_t* dst, const uint8_t* src, size_t n) {
+  if (n == sizeof(uint64_t))
+    std::memcpy(dst, src, sizeof(uint64_t));
+  else
+    std::copy_n(src, n, dst);
+}
+}  // namespace
+
 Status SgxHardware::enclave_read(sim::ThreadCtx& ctx, const CoreState& core,
                                  uint64_t lin, MutByteSpan out) {
   if (!core.in_enclave)
@@ -526,7 +539,7 @@ Status SgxHardware::enclave_read(sim::ThreadCtx& ctx, const CoreState& core,
                    "read of non-readable page (SGXv1 W+X limitation)");
     size_t off = addr - page_base;
     size_t n = std::min<size_t>(kPageSize - off, out.size() - done);
-    std::copy_n(page.data.begin() + off, n, out.begin() + done);
+    copy_chunk(out.data() + done, page.data.data() + off, n);
     done += n;
   }
   return OkStatus();
@@ -554,7 +567,7 @@ Status SgxHardware::enclave_write(sim::ThreadCtx& ctx, const CoreState& core,
       return Error(ErrorCode::kPermissionDenied, "write of read-only page");
     size_t off = addr - page_base;
     size_t n = std::min<size_t>(kPageSize - off, data.size() - done);
-    std::copy_n(data.begin() + done, n, page.data.begin() + off);
+    copy_chunk(page.data.data() + off, data.data() + done, n);
     done += n;
   }
   return OkStatus();

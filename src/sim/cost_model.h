@@ -14,11 +14,6 @@
 namespace mig::sim {
 
 struct CostModel {
-  // ---- CPU / memory ----
-  uint64_t cycle_ns = 1;                   // model cycle ≈ ns at ~1 GHz scale
-  uint64_t mem_access_ns_per_byte = 0;     // charged via workload models
-  uint64_t cache_line_bytes = 64;
-
   // ---- SGX instruction costs (per Intel measurements in the literature:
   // enclave crossings are ~3-4k cycles; EADD/EEXTEND dominate build time) ----
   uint64_t eenter_ns = 3'800;
@@ -63,14 +58,12 @@ struct CostModel {
   uint64_t upcall_interrupt_ns = 6'000;    // hypervisor->guest upcall
 
   // ---- hypervisor ----
-  uint64_t vmexit_ns = 1'800;
   uint64_t ept_violation_ns = 4'000;
   uint64_t hypercall_ns = 2'000;
 
   // ---- migration pipeline ----
   uint64_t checkpoint_dump_ns_per_byte_x100 = 150;  // in-enclave traversal+copy
   uint64_t restore_write_ns_per_byte_x100 = 150;
-  uint64_t cssa_replay_ns = 9'000;      // one EENTER+AEX pump iteration
 
   // ---- chunked checkpoint pipeline ----
   // Fixed per-chunk overhead: subkey derivation (one HKDF), header framing,
@@ -113,9 +106,6 @@ struct CostModel {
   uint64_t delta_track_write_ns = 40;
   // Scanning one version-table entry during a delta round.
   uint64_t delta_scan_ns_per_page_x100 = 2'000;  // 20 ns/page
-  // Reference dirty rate for a "write-moderate" enclave workload; the delta
-  // benches and property tests pace their writer threads off this knob.
-  uint64_t enclave_dirty_pages_per_sec = 4'000;
 };
 
 // The default model used everywhere unless a test overrides a copy.

@@ -5,11 +5,14 @@
 //  * the Montgomery path of BigNum::modexp against a schoolbook reference
 //    kept here, over seeded odd moduli of 1-32 64-bit limbs and the edge
 //    bases and exponents;
-//  * the group's fixed-base generator tables against the generic path,
-//    including exponents wider than the table (the provisioning check
-//    raises gq to a decrypted 160-byte key, which may be garbage);
-//  * the MULX/ADX Montgomery product kernel against the portable one, word
-//    for word, with canaries around every buffer it touches.
+//  * the group's fixed-base generator comb and the verify-key comb against
+//    the generic path, at every row and block boundary and past the comb's
+//    width (the provisioning check raises gq to a decrypted 160-byte key,
+//    which may be garbage), and the verify-key cache against sig_verify
+//    recomputed with modexp;
+//  * the MULX/ADX Montgomery product kernel against the portable one, and
+//    both squaring kernels against the portable product, word for word,
+//    with canaries around every buffer they touch.
 #include <gtest/gtest.h>
 
 #include "crypto/bignum.h"
@@ -17,6 +20,7 @@
 #include "crypto/drbg.h"
 #include "crypto/kernels.h"
 #include "crypto/sha256.h"
+#include "util/serde.h"
 
 namespace mig::crypto {
 namespace {
@@ -239,30 +243,43 @@ class CanaryBuffers {
   std::vector<size_t> starts_;
 };
 
+// The odd moduli of n words the kernel tests run over: one with any top
+// word, one with the top bit set, and two just below 2^(64n).
+std::vector<BigNum> kernel_moduli(Drbg& rng, size_t n) {
+  auto odd = [](const BigNum& x) { return x.is_odd() ? x : x + BigNum(1); };
+  const BigNum r = BigNum(1).shifted_left(64 * n);
+  BigNum any_top = odd(random_bits(rng, 64 * n));
+  if (any_top.bit_length() <= 64 * (n - 1))  // keep n words
+    any_top = any_top + BigNum(1).shifted_left(64 * (n - 1));
+  const BigNum top_bit = BigNum(1).shifted_left(64 * n - 1);
+  return {
+      any_top,
+      odd(random_bits(rng, 64 * n - 1) + top_bit),
+      r - BigNum(1),  // just below 2^(64n)
+      r - BigNum(0x101),
+  };
+}
+
+// Operands below mod: 0, 1, mod - 1 and three random ones.
+std::vector<BigNum> kernel_operands(Drbg& rng, size_t n, const BigNum& mod) {
+  std::vector<BigNum> operands = {BigNum(), BigNum(1), mod - BigNum(1)};
+  for (int k = 0; k < 3; ++k)
+    operands.push_back(random_bits(rng, 64 * n) % mod);
+  return operands;
+}
+
 TEST(BigNumMontgomery, AdxKernelMatchesPortableKernel) {
   if (!kernels::cpu_has_adx()) GTEST_SKIP() << "CPU lacks adx/bmi2";
   Drbg rng(to_bytes("adx-kernel"));
   for (size_t n = 1; n <= 32; ++n) {
-    auto odd = [](const BigNum& x) { return x.is_odd() ? x : x + BigNum(1); };
     const BigNum r = BigNum(1).shifted_left(64 * n);
-    BigNum any_top = odd(random_bits(rng, 64 * n));
-    if (any_top.bit_length() <= 64 * (n - 1))  // keep n words
-      any_top = any_top + BigNum(1).shifted_left(64 * (n - 1));
-    const BigNum top_bit = BigNum(1).shifted_left(64 * n - 1);
-    const BigNum moduli[] = {
-        any_top,
-        odd(random_bits(rng, 64 * n - 1) + top_bit),
-        r - BigNum(1),  // just below 2^(64n)
-        r - BigNum(0x101),
-    };
-    for (const BigNum& mod : moduli) {
+    for (const BigNum& mod : kernel_moduli(rng, n)) {
       ASSERT_TRUE(mod.is_odd());
       ASSERT_EQ((mod.bit_length() + 63) / 64, n);
       const std::vector<uint64_t> m = to_words(mod, n);
       const uint64_t m_inv = neg_inverse(m[0]);
       const BigNum r_mod = r % mod;  // out * R = a * b (mod m)
-      std::vector<BigNum> operands = {BigNum(), BigNum(1), mod - BigNum(1)};
-      for (int k = 0; k < 3; ++k) operands.push_back(random_bits(rng, 64 * n) % mod);
+      const std::vector<BigNum> operands = kernel_operands(rng, n, mod);
       for (const BigNum& x : operands) {
         for (const BigNum& y : operands) {
           CanaryBuffers portable(n), adx(n);
@@ -303,6 +320,57 @@ TEST(BigNumMontgomery, AdxKernelMatchesPortableKernel) {
   }
 }
 
+// A squaring kernel against the portable product with b = a, word for word,
+// over the moduli and operands of the product kernel's test, with canaries
+// around every buffer, stale scratch, and out aliasing a.
+void expect_squaring_matches_product(kernels::MontSqrFn sqr,
+                                     const char* name) {
+  Drbg rng(to_bytes("sqr-kernel"));
+  for (size_t n = 1; n <= 32; ++n) {
+    const BigNum r = BigNum(1).shifted_left(64 * n);
+    for (const BigNum& mod : kernel_moduli(rng, n)) {
+      const std::vector<uint64_t> m = to_words(mod, n);
+      const uint64_t m_inv = neg_inverse(m[0]);
+      const BigNum r_mod = r % mod;
+      for (const BigNum& x : kernel_operands(rng, n, mod)) {
+        CanaryBuffers product(n), square(n);
+        const auto xw = to_words(x, n);
+        for (CanaryBuffers* buf : {&product, &square}) {
+          std::copy(xw.begin(), xw.end(), buf->a());
+          std::copy(m.begin(), m.end(), buf->m());
+          std::fill_n(buf->scratch(), 2 * n + 1, ~0ull);  // stale scratch
+        }
+        kernels::mont_mul_portable(product.out(), product.a(), product.a(),
+                                   product.m(), m_inv, n, product.scratch());
+        sqr(square.out(), square.a(), square.m(), m_inv, n, square.scratch());
+        ASSERT_TRUE(square.canaries_intact()) << name << ", n " << n;
+        ASSERT_TRUE(std::equal(square.out(), square.out() + n, product.out()))
+            << name << ", n " << n << " m " << hex_encode(mod.to_bytes())
+            << " a " << hex_encode(x.to_bytes());
+        const BigNum out = from_words(square.out(), n);
+        ASSERT_TRUE(out < mod);
+        ASSERT_EQ((out * r_mod) % mod, (x * x) % mod) << name << ", n " << n;
+
+        std::vector<uint64_t> in_place = xw, scratch(2 * n + 1, ~0ull);
+        sqr(in_place.data(), in_place.data(), m.data(), m_inv, n,
+            scratch.data());
+        EXPECT_TRUE(
+            std::equal(in_place.begin(), in_place.end(), product.out()))
+            << name << ", out aliases a, n " << n;
+      }
+    }
+  }
+}
+
+TEST(BigNumMontgomery, PortableSquaringMatchesProduct) {
+  expect_squaring_matches_product(kernels::mont_sqr_portable, "portable");
+}
+
+TEST(BigNumMontgomery, AdxSquaringMatchesProduct) {
+  if (!kernels::cpu_has_adx()) GTEST_SKIP() << "CPU lacks adx/bmi2";
+  expect_squaring_matches_product(kernels::mont_sqr_adx, "adx");
+}
+
 // ---------------------------------------------------------------------------
 // Fixed-base tables vs the generic path.
 // ---------------------------------------------------------------------------
@@ -330,21 +398,146 @@ TEST(DhFixedBase, GeneratorTablesMatchGenericPath) {
   for (int i = 0; i < 8; ++i) exps.push_back(random_bits(rng, 1024));
   for (size_t i = 0; i < exps.size(); ++i) {
     EXPECT_EQ(g.g_table.pow(exps[i]), g.g.modexp(exps[i], g.p)) << i;
-    EXPECT_EQ(g.gq_table.pow(exps[i]), g.gq.modexp(exps[i], g.p)) << i;
+    EXPECT_EQ(g.gq_pow(exps[i]), g.gq.modexp(exps[i], g.p)) << i;
   }
-  EXPECT_EQ(g.gq_table.pow(exps[13]),
+  EXPECT_EQ(g.gq_pow(exps[13]),
             reference_modexp(g.gq, exps[13], g.p));
 }
 
 TEST(DhFixedBase, SmallTableFallsBackPastItsWidth) {
-  // A 16-bit table: exponents up to 16 bits use the rows, wider ones the
+  // A 16-bit comb (3 rows of 6 bits, 2 blocks of 3 columns, so the top row
+  // is short): exponents up to 16 bits use the comb, wider ones the
   // generic path; both must agree with the reference. The base is >= m.
   const BigNum m(1000003), base(2000011);
-  FixedBaseTable table(base, m, 16);
+  FixedBaseTable table(base, m, 16, 3, 2);
   for (uint64_t e : {0ull, 1ull, 7ull, 0x8000ull, 0xffffull, 0x10000ull,
                      0x1ffffull, 0x123456789ull}) {
     EXPECT_EQ(table.pow(BigNum(e)), reference_modexp(base, BigNum(e), m)) << e;
   }
+}
+
+// Exponents that probe a comb of `bits` bits laid out as `rows` rows and
+// `blocks` blocks: 0, 1, 2, q - 1, 2^k - 1 and 2^k with k at every row and
+// block boundary (a column of bits ends just below each), the all-ones full
+// width, and the first exponents one bit past it, which fall back to modexp.
+std::vector<BigNum> comb_exponents(size_t bits, size_t rows, size_t blocks) {
+  const DhGroup& g = DhGroup::oakley2();
+  const size_t a = (bits + rows - 1) / rows, b = (a + blocks - 1) / blocks;
+  std::vector<BigNum> exps = {BigNum(), BigNum(1), BigNum(2),
+                              g.q - BigNum(1)};
+  for (size_t s = 0; s <= rows; ++s) {
+    for (size_t j = 0; j < blocks; ++j) {
+      const size_t k = s * a + j * b;
+      if (k == 0 || k > bits) continue;
+      exps.push_back(BigNum(1).shifted_left(k) - BigNum(1));
+      exps.push_back(BigNum(1).shifted_left(k));
+    }
+  }
+  const BigNum past = BigNum(1).shifted_left(bits);
+  exps.push_back(past - BigNum(1));  // all ones
+  exps.push_back(past);              // one bit past the width
+  exps.push_back(past + BigNum(1));
+  return exps;
+}
+
+TEST(DhFixedBase, GeneratorCombMatchesModexpAtEveryBoundary) {
+  // g_table is 1,024 bits as 8 rows by 4 blocks: columns of 128 bits, cut
+  // every 32.
+  const DhGroup& g = DhGroup::oakley2();
+  for (const BigNum& e : comb_exponents(1024, 8, 4)) {
+    EXPECT_EQ(g.g_table.pow(e), g.g.modexp(e, g.p)) << hex_encode(e.to_bytes());
+    EXPECT_EQ(g.gq_pow(e), g.gq.modexp(e, g.p)) << hex_encode(e.to_bytes());
+  }
+}
+
+TEST(DhFixedBase, KeyCombMatchesModexpAtEveryBoundary) {
+  // A verify key's comb is 256 bits as 5 rows by 2 blocks: columns of 52
+  // bits (the top row is 48 bits short), cut every 26.
+  const DhGroup& g = DhGroup::oakley2();
+  Drbg rng(to_bytes("key-comb"));
+  const SigKeyPair kp = sig_keygen(rng);
+  const FixedBaseTable table = sig_key_table(kp.pk);
+  std::vector<BigNum> exps = comb_exponents(256, 5, 2);
+  for (int i = 0; i < 4; ++i) exps.push_back(random_bits(rng, 256));
+  for (const BigNum& e : exps)
+    EXPECT_EQ(table.pow(e), kp.pk.modexp(e, g.p)) << hex_encode(e.to_bytes());
+}
+
+TEST(DhFixedBase, CombWithAShortLastBlockMatchesReference) {
+  // 21 bits as 3 rows by 2 blocks: columns of 7 bits cut into blocks of 4
+  // and 3, so the last block's top column lies past the row and must be
+  // skipped, not read from the next row.
+  const BigNum m(1000003), base(12345);
+  FixedBaseTable table(base, m, 21, 3, 2);
+  Drbg rng(to_bytes("short-block"));
+  std::vector<BigNum> exps = comb_exponents(21, 3, 2);
+  for (int i = 0; i < 8; ++i) exps.push_back(random_bits(rng, 21));
+  for (const BigNum& e : exps)
+    EXPECT_EQ(table.pow(e), reference_modexp(base, e, m))
+        << hex_encode(e.to_bytes());
+}
+
+// sig_verify with pk^e from modexp and no cache: the verdict the cached comb
+// must always reproduce.
+bool reference_verify(const BigNum& pk, ByteSpan message, ByteSpan signature) {
+  const DhGroup& g = DhGroup::oakley2();
+  if (pk <= BigNum(1) || !(pk < g.p - BigNum(1))) return false;
+  Reader rd(signature);
+  const BigNum r = BigNum::from_bytes(rd.bytes());
+  const BigNum s = BigNum::from_bytes(rd.bytes());
+  if (!rd.finish().ok()) return false;
+  if (r.is_zero() || !(r < g.p) || !(s < g.q)) return false;
+  Bytes input = r.to_bytes_padded(g.byte_len);
+  append(input, message);
+  const BigNum e = BigNum::from_bytes(Sha256::hash(input)) % g.q;
+  return g.gq.modexp(s, g.p) == (r * pk.modexp(e, g.p)) % g.p;
+}
+
+TEST(SchnorrKeyCache, VerdictsMatchModexpAcrossEvictions) {
+  // 24 keys, more than the 16 the cache holds, visited in an order that
+  // keeps evicting, each with a valid signature and three tampered ones:
+  // s flipped, the message changed, and the key of the next signer.
+  constexpr size_t kKeys = 24;
+  Drbg rng(to_bytes("key-cache"));
+  std::vector<SigKeyPair> keys;
+  std::vector<Bytes> messages, sigs;
+  for (size_t i = 0; i < kKeys; ++i) {
+    keys.push_back(sig_keygen(rng));
+    messages.push_back(rng.generate(48));
+    sigs.push_back(sig_sign(keys[i].sk, messages[i], rng));
+  }
+  struct Case {
+    const BigNum& pk;
+    const Bytes& message;
+    const Bytes& sig;
+  };
+  const size_t strides[] = {7, 5, 1};
+  size_t accepted = 0, checked = 0;
+  for (size_t stride : strides) {
+    for (size_t step = 0; step < kKeys; ++step) {
+      // Every fourth step goes back to key 0, which so stays cached.
+      const size_t i = step % 4 == 3 ? 0 : step * stride % kKeys;
+      Bytes flipped = sigs[i];
+      flipped.back() ^= 0x01;
+      Bytes other_message = messages[i];
+      other_message[0] ^= 0x80;
+      const Case cases[] = {
+          {keys[i].pk, messages[i], sigs[i]},
+          {keys[i].pk, messages[i], flipped},
+          {keys[i].pk, other_message, sigs[i]},
+          {keys[(i + 1) % kKeys].pk, messages[i], sigs[i]},
+      };
+      for (const Case& c : cases) {
+        const bool verdict = sig_verify(c.pk, c.message, c.sig);
+        ASSERT_EQ(verdict, reference_verify(c.pk, c.message, c.sig))
+            << "stride " << stride << " key " << i;
+        accepted += verdict;
+        ++checked;
+      }
+    }
+  }
+  EXPECT_EQ(checked, std::size(strides) * kKeys * 4);
+  EXPECT_EQ(accepted, std::size(strides) * kKeys);  // the untampered ones
 }
 
 }  // namespace

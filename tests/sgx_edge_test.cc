@@ -450,6 +450,36 @@ TEST(SgxEdge, RemovingTheMiddleOfThreeEnclavesLeavesTheOthersAndKillsItsEid) {
   });
 }
 
+// An 8-byte word at page offset 4088 fills the page's last word; at 4089 to
+// 4095 it straddles into the next page, and the copy splits into two
+// shorter chunks. Each word written reads back whole and byte by byte.
+TEST(SgxEdge, WordsStraddlingAPageBoundaryMatchByteWiseReads) {
+  EdgeBed bed;
+  bed.run([&](sim::ThreadCtx& ctx) {
+    EnclaveId eid = build_runnable(ctx, bed.hw, 4);
+    CoreState core;
+    ASSERT_TRUE(bed.hw.eenter(ctx, core, eid, kBase).ok());
+    for (uint64_t off = kPageSize - 8; off < kPageSize; ++off) {
+      const uint64_t addr = kBase + kPageSize + off;
+      Bytes word(8);
+      for (size_t i = 0; i < word.size(); ++i)
+        word[i] = static_cast<uint8_t>(0xa0 + 8 * (off % 8) + i);
+      ASSERT_TRUE(bed.hw.enclave_write(ctx, core, addr, word).ok()) << off;
+      Bytes whole(8);
+      ASSERT_TRUE(bed.hw.enclave_read(ctx, core, addr, whole).ok()) << off;
+      Bytes bytewise;
+      for (uint64_t i = 0; i < 8; ++i) {
+        Bytes one(1);
+        ASSERT_TRUE(bed.hw.enclave_read(ctx, core, addr + i, one).ok());
+        bytewise.push_back(one[0]);
+      }
+      EXPECT_EQ(whole, word) << off;
+      EXPECT_EQ(bytewise, word) << off;
+    }
+    ASSERT_TRUE(bed.hw.eexit(ctx, core).ok());
+  });
+}
+
 // ESWPIN takes the page's address from the migrated page, so a holder of
 // the migration MAC key can name any address. One outside the target
 // enclave's range or off a page boundary has no entry in its page table: it

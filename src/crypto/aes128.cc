@@ -45,14 +45,16 @@ inline uint8_t xtime(uint8_t x) {
   return static_cast<uint8_t>((x << 1) ^ ((x & 0x80) ? 0x1b : 0x00));
 }
 
-inline uint8_t gmul(uint8_t a, uint8_t b) {
-  uint8_t p = 0;
-  for (int i = 0; i < 8; ++i) {
-    if (b & 1) p ^= a;
-    a = xtime(a);
-    b >>= 1;
+// MixColumns: each column times c(x) = {03}x^3 + {01}x^2 + {01}x + {02}.
+void mix_columns(uint8_t s[16]) {
+  for (int c = 0; c < 4; ++c) {
+    uint8_t* col = s + 4 * c;
+    uint8_t a0 = col[0], a1 = col[1], a2 = col[2], a3 = col[3];
+    col[0] = static_cast<uint8_t>(xtime(a0) ^ (xtime(a1) ^ a1) ^ a2 ^ a3);
+    col[1] = static_cast<uint8_t>(a0 ^ xtime(a1) ^ (xtime(a2) ^ a2) ^ a3);
+    col[2] = static_cast<uint8_t>(a0 ^ a1 ^ xtime(a2) ^ (xtime(a3) ^ a3));
+    col[3] = static_cast<uint8_t>((xtime(a0) ^ a0) ^ a1 ^ a2 ^ xtime(a3));
   }
-  return p;
 }
 
 }  // namespace
@@ -85,16 +87,7 @@ void Aes128::encrypt_block(const uint8_t in[16], uint8_t out[16]) const {
       for (int r = 0; r < 4; ++r) t[c * 4 + r] = s[((c + r) % 4) * 4 + r];
     std::copy(t, t + 16, s);
     // MixColumns (skipped in the last round)
-    if (round < 10) {
-      for (int c = 0; c < 4; ++c) {
-        uint8_t* col = s + 4 * c;
-        uint8_t a0 = col[0], a1 = col[1], a2 = col[2], a3 = col[3];
-        col[0] = static_cast<uint8_t>(xtime(a0) ^ (xtime(a1) ^ a1) ^ a2 ^ a3);
-        col[1] = static_cast<uint8_t>(a0 ^ xtime(a1) ^ (xtime(a2) ^ a2) ^ a3);
-        col[2] = static_cast<uint8_t>(a0 ^ a1 ^ xtime(a2) ^ (xtime(a3) ^ a3));
-        col[3] = static_cast<uint8_t>((xtime(a0) ^ a0) ^ a1 ^ a2 ^ xtime(a3));
-      }
-    }
+    if (round < 10) mix_columns(s);
     for (int i = 0; i < 16; ++i) s[i] ^= round_keys_[round][i];
   }
   std::copy(s, s + 16, out);
@@ -113,16 +106,22 @@ void Aes128::decrypt_block(const uint8_t in[16], uint8_t out[16]) const {
     for (auto& b : s) b = inv_sbox_at(b);
     // AddRoundKey
     for (int i = 0; i < 16; ++i) s[i] ^= round_keys_[round][i];
-    // InvMixColumns (skipped after the first-processed == last round)
+    // InvMixColumns (skipped after the first-processed == last round). Its
+    // polynomial d(x) = {0b}x^3 + {0d}x^2 + {09}x + {0e} factors as
+    // c(x)·({04}x^2 + {05}) (Daemen and Rijmen, The Design of Rijndael), so
+    // each column is first multiplied by {04}x^2 + {05}, then mixed as in
+    // encryption.
     if (round > 0) {
       for (int c = 0; c < 4; ++c) {
         uint8_t* col = s + 4 * c;
-        uint8_t a0 = col[0], a1 = col[1], a2 = col[2], a3 = col[3];
-        col[0] = gmul(a0, 14) ^ gmul(a1, 11) ^ gmul(a2, 13) ^ gmul(a3, 9);
-        col[1] = gmul(a0, 9) ^ gmul(a1, 14) ^ gmul(a2, 11) ^ gmul(a3, 13);
-        col[2] = gmul(a0, 13) ^ gmul(a1, 9) ^ gmul(a2, 14) ^ gmul(a3, 11);
-        col[3] = gmul(a0, 11) ^ gmul(a1, 13) ^ gmul(a2, 9) ^ gmul(a3, 14);
+        uint8_t u = xtime(xtime(col[0] ^ col[2]));
+        uint8_t v = xtime(xtime(col[1] ^ col[3]));
+        col[0] ^= u;
+        col[1] ^= v;
+        col[2] ^= u;
+        col[3] ^= v;
       }
+      mix_columns(s);
     }
   }
   std::copy(s, s + 16, out);

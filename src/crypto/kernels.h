@@ -1,8 +1,7 @@
 // The hot crypto kernels, each in a portable version and one on x86-64
 // instructions, and the choice between them. Private to src/crypto: BigNum
 // and Sha256 call the chosen kernel; the tests include this header to hold
-// each fast kernel to its portable reference, and micro_primitives to time
-// the squaring kernel against the product.
+// each fast kernel to its portable reference.
 //
 // The choice is made once per process from CPUID (the first call of
 // mont_mul(), mont_sqr() or sha256_blocks()); no option, environment

@@ -12,9 +12,6 @@
 #if defined(__SANITIZE_ADDRESS__)
 #include <sanitizer/common_interface_defs.h>
 #endif
-#if defined(__SANITIZE_THREAD__)
-#include <sanitizer/tsan_interface.h>
-#endif
 
 #include "obs/metrics.h"
 
@@ -144,9 +141,6 @@ struct Executor::Fiber {
     sp = frame;
     asan_bottom = stack + guard_bytes;
     asan_size = kStackBytes;
-#if defined(__SANITIZE_THREAD__)
-    tsan_fiber = __tsan_create_fiber(0);
-#endif
   }
 
   Fiber(const Fiber&) = delete;
@@ -154,25 +148,18 @@ struct Executor::Fiber {
 
   ~Fiber() {
     if (stack == nullptr) return;
-#if defined(__SANITIZE_THREAD__)
-    __tsan_destroy_fiber(tsan_fiber);
-#endif
     munmap(stack, guard_bytes + kStackBytes);
   }
 
   // Switches from this, the running context, to `to`. Returns when another
   // context switches back, which never happens once this fiber has
   // `finished`. Each side installs the other's exception state, and each
-  // switch is announced to the sanitizers the build uses.
+  // switch is announced to ASan when the build uses it.
   void switch_to(Fiber& to, [[maybe_unused]] bool finished = false) {
     swap_eh_globals(eh, to.eh);
 #if defined(__SANITIZE_ADDRESS__)
     __sanitizer_start_switch_fiber(finished ? nullptr : &asan_fake_stack,
                                    to.asan_bottom, to.asan_size);
-#endif
-#if defined(__SANITIZE_THREAD__)
-    if (tsan_fiber == nullptr) tsan_fiber = __tsan_get_current_fiber();
-    __tsan_switch_to_fiber(to.tsan_fiber, 0);
 #endif
     mig_fiber_switch(&sp, to.sp);
 #if defined(__SANITIZE_ADDRESS__)
@@ -184,12 +171,11 @@ struct Executor::Fiber {
   EhGlobals eh;
   char* stack = nullptr;  // mapping base (guard page); null for the scheduler
   size_t guard_bytes = 0;
-  // Sanitizer bookkeeping: ASan's fake stack while switched out and the
-  // stack bounds announced on a switch to this context; TSan's fiber.
+  // ASan bookkeeping: the fake stack while switched out and the stack
+  // bounds announced on a switch to this context.
   void* asan_fake_stack = nullptr;
   const void* asan_bottom = nullptr;
   size_t asan_size = 0;
-  void* tsan_fiber = nullptr;
 };
 
 void Executor::fiber_main(SimThread* t) noexcept {

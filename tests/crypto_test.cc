@@ -268,6 +268,18 @@ TEST(Aes128, CbcRoundTripVariousLengths) {
   }
 }
 
+// SHA-256 of 16 Ki DRBG blocks run through the inverse cipher one block at
+// a time, so InvMixColumns meets inputs that no encryption produced.
+TEST(Aes128, LongDecryptHashIsPinned) {
+  const Bytes in = Drbg(to_bytes("aes long decrypt")).generate(16 * 16'384);
+  Aes128 aes(hex_decode("000102030405060708090a0b0c0d0e0f"));
+  Bytes out(in.size());
+  for (size_t off = 0; off < in.size(); off += 16)
+    aes.decrypt_block(&in[off], &out[off]);
+  EXPECT_EQ(hex_encode(Sha256::hash(out)),
+            "4997be9ac515fdc0aae1a7d3213e65c0db1b00ab9aa585c41c39ffbbaa4f59c8");
+}
+
 // ------------------------------------------------------------------ BigNum
 
 TEST(BigNum, BytesRoundTrip) {

@@ -92,16 +92,8 @@ RunResult run_evacuation(size_t fleet_size, uint64_t max_concurrent) {
   world.executor().spawn("bench", [&](sim::ThreadCtx& ctx) {
     for (auto& h : hosts) {
       MIG_CHECK(h->create(ctx).ok());
-      auto channel = world.make_channel();
-      world.executor().spawn("owner",
-                             [&owner, ch = channel.get()](sim::ThreadCtx& c) {
-                               owner.serve_one(c, ch->b());
-                             });
-      sdk::ControlCmd cmd;
-      cmd.type = sdk::ControlCmd::Type::kProvision;
-      cmd.channel = channel->a();
-      sdk::ControlReply r = h->mailbox().post(ctx, cmd);
-      MIG_CHECK_MSG(r.status.ok(), r.status.to_string());
+      Status st = owner.provision(ctx, world, *h);
+      MIG_CHECK_MSG(st.ok(), st.to_string());
     }
     auto report = sched.run(ctx);
     MIG_CHECK_MSG(report.ok(), report.status().to_string());

@@ -79,16 +79,8 @@ struct Bed {
   }
 
   void provision(sim::ThreadCtx& ctx, sdk::EnclaveHost& host) {
-    auto channel = world.make_channel();
-    world.executor().spawn("owner", [this, ch = channel.get()](
-                                        sim::ThreadCtx& c) {
-      owner.serve_one(c, ch->b());
-    });
-    sdk::ControlCmd cmd;
-    cmd.type = sdk::ControlCmd::Type::kProvision;
-    cmd.channel = channel->a();
-    sdk::ControlReply r = host.mailbox().post(ctx, cmd);
-    MIG_CHECK_MSG(r.status.ok(), r.status.to_string());
+    Status st = owner.provision(ctx, world, host);
+    MIG_CHECK_MSG(st.ok(), st.to_string());
   }
 
   void run(std::function<void(sim::ThreadCtx&)> fn) {

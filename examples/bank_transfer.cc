@@ -48,14 +48,7 @@ Scenario run(bool use_two_phase) {
   Scenario out;
   world.executor().spawn("demo", [&](sim::ThreadCtx& ctx) {
     MIG_CHECK(host.create(ctx).ok());
-    auto ch = world.make_channel();
-    world.executor().spawn("owner", [&, c = ch.get()](sim::ThreadCtx& t) {
-      owner.serve_one(t, c->b());
-    });
-    sdk::ControlCmd prov;
-    prov.type = sdk::ControlCmd::Type::kProvision;
-    prov.channel = ch->a();
-    MIG_CHECK(host.mailbox().post(ctx, prov).status.ok());
+    MIG_CHECK(owner.provision(ctx, world, host).ok());
 
     Writer init;
     init.u64(5000);

@@ -82,14 +82,7 @@ int main() {
   world.executor().spawn("main", [&](sim::ThreadCtx& ctx) {
     // Create + provision.
     MIG_CHECK(host.create(ctx).ok());
-    auto channel = world.make_channel();
-    world.executor().spawn("owner", [&, ch = channel.get()](sim::ThreadCtx& c) {
-      owner.serve_one(c, ch->b());
-    });
-    sdk::ControlCmd prov;
-    prov.type = sdk::ControlCmd::Type::kProvision;
-    prov.channel = channel->a();
-    MIG_CHECK(host.mailbox().post(ctx, prov).status.ok());
+    MIG_CHECK(owner.provision(ctx, world, host).ok());
     std::printf("enclave created on %s and provisioned by its owner\n",
                 source.name().c_str());
 

@@ -47,9 +47,7 @@ int main() {
 
   world.executor().spawn("demo", [&](sim::ThreadCtx& ctx) {
     MIG_CHECK(host.create(ctx).ok());
-    sdk::ControlCmd prov;
-    prov.type = sdk::ControlCmd::Type::kProvision;
-    MIG_CHECK(with_owner(ctx, prov).status.ok());
+    MIG_CHECK(owner.provision(ctx, world, host).ok());
 
     Writer fill;
     fill.u64(500);

@@ -64,14 +64,7 @@ int main(int argc, char** argv) {
   world.executor().spawn("orchestrator", [&](sim::ThreadCtx& ctx) {
     for (auto& h : hosts) {
       MIG_CHECK(h->create(ctx).ok());
-      auto ch = world.make_channel();
-      world.executor().spawn("owner", [&, c = ch.get()](sim::ThreadCtx& t) {
-        owner.serve_one(t, c->b());
-      });
-      sdk::ControlCmd prov;
-      prov.type = sdk::ControlCmd::Type::kProvision;
-      prov.channel = ch->a();
-      MIG_CHECK(h->mailbox().post(ctx, prov).status.ok());
+      MIG_CHECK(owner.provision(ctx, world, *h).ok());
     }
     std::printf("%d enclaves provisioned and serving on %s\n", n,
                 source.name().c_str());

@@ -16,7 +16,7 @@ std::vector<std::string> EvacuationReport::quarantined_names() const {
 }
 
 void EvacuationReport::publish_metrics() const {
-  if (!obs::metrics_enabled()) return;
+  if (!obs::enabled()) return;
   auto& m = obs::metrics();
   m.set_gauge("fleet.vms", vms.size());
   m.set_gauge("fleet.migrated", migrated);

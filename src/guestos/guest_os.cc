@@ -15,15 +15,11 @@ sim::ThreadId Process::spawn_thread(std::string name,
 
 GuestOs::GuestOs(hv::Machine& machine, hv::Vm& vm)
     : machine_(&machine), vm_(&vm),
-      driver_(std::make_unique<SgxDriver>(machine, vm)) {
+      driver_(std::make_unique<SgxDriver>(machine)) {
   vm.set_hooks(this);
-  machine.hypervisor().attach_vm(vm, machine.hw().total_epc_pages());
 }
 
-GuestOs::~GuestOs() {
-  vm_->set_hooks(nullptr);
-  machine_->hypervisor().detach_vm(*vm_);
-}
+GuestOs::~GuestOs() { vm_->set_hooks(nullptr); }
 
 Process& GuestOs::create_process(std::string name) {
   processes_.push_back(
@@ -120,10 +116,8 @@ Result<uint64_t> GuestOs::resume_enclaves_after_migration(sim::ThreadCtx& ctx) {
   uint64_t start = ctx.now();
   // The VM just resumed on the target: re-probe the SGX "device".
   if (pending_target_ != nullptr) {
-    machine_->hypervisor().detach_vm(*vm_);
     machine_ = pending_target_;
     pending_target_ = nullptr;
-    machine_->hypervisor().attach_vm(*vm_, machine_->hw().total_epc_pages());
     driver_->rebind(*machine_);
   }
   // The memory move is complete: enclave creation is legal again (the

@@ -36,7 +36,6 @@ class Process {
 
   uint64_t pid() const { return pid_; }
   const std::string& name() const { return name_; }
-  GuestOs& os() { return *os_; }
 
   // Spawns an application thread (tracked for stop_other_threads()).
   sim::ThreadId spawn_thread(std::string name,

@@ -4,8 +4,7 @@
 
 namespace mig::guestos {
 
-SgxDriver::SgxDriver(hv::Machine& machine, hv::Vm& vm)
-    : machine_(&machine), vm_(&vm) {
+SgxDriver::SgxDriver(hv::Machine& machine) : machine_(&machine) {
   install_fault_handler();
 }
 

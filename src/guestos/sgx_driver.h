@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "hv/machine.h"
-#include "hv/hypervisor.h"
 #include "sgx/hardware.h"
 #include "sgx/image.h"
 
@@ -29,7 +28,7 @@ namespace mig::guestos {
 
 class SgxDriver {
  public:
-  SgxDriver(hv::Machine& machine, hv::Vm& vm);
+  explicit SgxDriver(hv::Machine& machine);
   ~SgxDriver();
 
   SgxDriver(const SgxDriver&) = delete;
@@ -69,7 +68,6 @@ class SgxDriver {
   void forget_enclave(sgx::EnclaveId eid);
 
   hv::Machine* machine_;
-  hv::Vm* vm_;
 
   struct PageKey {
     sgx::EnclaveId eid;

@@ -12,7 +12,7 @@
 namespace mig::hv {
 
 void MigrationReport::publish_metrics(const char* prefix) const {
-  if (!obs::metrics_enabled()) return;
+  if (!obs::enabled()) return;
   auto& m = obs::metrics();
   std::string p(prefix);
   m.set_gauge(p + ".success", success ? 1 : 0);

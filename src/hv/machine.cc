@@ -1,7 +1,5 @@
 #include "hv/machine.h"
 
-#include "hv/hypervisor.h"
-
 namespace mig::hv {
 
 Machine::Machine(sim::Executor& exec, const sim::CostModel& cost,
@@ -9,10 +7,7 @@ Machine::Machine(sim::Executor& exec, const sim::CostModel& cost,
     : exec_(&exec),
       cost_(&cost),
       hw_(exec, cost, rng.fork(to_bytes("hw")), std::move(hw_config)),
-      qe_(hw_, rng.fork(to_bytes("qe"))),
-      hypervisor_(std::make_unique<Hypervisor>(*this)) {}
-
-Machine::~Machine() = default;
+      qe_(hw_, rng.fork(to_bytes("qe"))) {}
 
 World::World(int cpus_per_machine, uint64_t seed, const sim::CostModel& cost)
     : cost_(&cost),

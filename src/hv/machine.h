@@ -2,9 +2,8 @@
 //
 // A World is one simulated universe: the executor (virtual time), the cost
 // model, the attestation service, and the physical machines. A Machine is
-// one SGX-capable host: its hardware engine, quoting enclave and hypervisor
-// (KVM stand-in). The paper's testbed is a World with two Machines connected
-// by a Channel.
+// one SGX-capable host: its hardware engine and quoting enclave. The paper's
+// testbed is a World with two Machines connected by a Channel.
 #pragma once
 
 #include <functional>
@@ -21,18 +20,14 @@
 
 namespace mig::hv {
 
-class Hypervisor;
-
 class Machine {
  public:
   Machine(sim::Executor& exec, const sim::CostModel& cost, crypto::Drbg rng,
           sgx::HardwareConfig hw_config);
-  ~Machine();
 
   const std::string& name() const { return hw_.config().machine_name; }
   sgx::SgxHardware& hw() { return hw_; }
   sgx::QuotingEnclave& qe() { return qe_; }
-  Hypervisor& hypervisor() { return *hypervisor_; }
   const sim::CostModel& cost() const { return *cost_; }
   sim::Executor& executor() { return *exec_; }
 
@@ -41,7 +36,6 @@ class Machine {
   const sim::CostModel* cost_;
   sgx::SgxHardware hw_;
   sgx::QuotingEnclave qe_;
-  std::unique_ptr<Hypervisor> hypervisor_;
 };
 
 class World {

@@ -1,8 +1,10 @@
 #include "migration/owner.h"
 
 #include "crypto/aead.h"
+#include "hv/machine.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "sdk/host.h"
 #include "util/serde.h"
 
 namespace mig::migration {
@@ -73,6 +75,19 @@ void EnclaveOwner::serve_one(sim::ThreadCtx& ctx, sim::Channel::End end) {
   w.bytes(kp.pub.to_bytes_padded(128));
   w.bytes(crypto::seal(crypto::CipherAlg::kChaCha20, *session, payload));
   end.send(ctx, w.take());
+}
+
+Status EnclaveOwner::provision(sim::ThreadCtx& ctx, hv::World& world,
+                               sdk::EnclaveHost& host) {
+  auto channel = world.make_channel();
+  world.executor().spawn("owner", [this, ch = channel.get()](
+                                      sim::ThreadCtx& c) {
+    serve_one(c, ch->b());
+  });
+  sdk::ControlCmd cmd;
+  cmd.type = sdk::ControlCmd::Type::kProvision;
+  cmd.channel = channel->a();
+  return host.mailbox().post(ctx, cmd).status;
 }
 
 }  // namespace mig::migration

@@ -22,6 +22,14 @@
 #include "sgx/attestation.h"
 #include "sim/network.h"
 
+namespace mig::hv {
+class World;
+}  // namespace mig::hv
+
+namespace mig::sdk {
+class EnclaveHost;
+}  // namespace mig::sdk
+
 namespace mig::migration {
 
 struct AuditEntry {
@@ -43,6 +51,12 @@ class EnclaveOwner {
   // RESTORE). Runs on the caller's thread; typically spawned as a helper
   // sim thread concurrently with the enclave's mailbox command.
   void serve_one(sim::ThreadCtx& ctx, sim::Channel::End end);
+
+  // Launch-time provisioning of `host`'s (created) enclave: serves its one
+  // PROVISION request on an "owner" sim thread over a new `world` channel
+  // and returns the enclave's verdict.
+  Status provision(sim::ThreadCtx& ctx, hv::World& world,
+                   sdk::EnclaveHost& host);
 
   // Policy knob for rollback auditing/tests: when false, RESTORE requests
   // are refused (the owner smells a rollback).

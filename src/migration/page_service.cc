@@ -131,7 +131,7 @@ Result<PagePullStats> pull_pages(sim::ThreadCtx& ctx,
     pending = std::move(r.postcopy_pending);
   }
   end.send(ctx, sdk::encode_page_done());
-  if (obs::metrics_enabled())
+  if (obs::enabled())
     obs::metrics().add("postcopy.pull_requests", stats.requests);
   span.finish({{"requests", stats.requests}, {"bytes", stats.bytes}});
   return stats;

@@ -27,7 +27,7 @@ Result<Bytes> EnclaveMigrator::prepare(sim::ThreadCtx& ctx,
   if (opts.chunk_stream != nullptr) cmd.chunk_stream = *opts.chunk_stream;
   sdk::ControlReply reply = host.mailbox().post(ctx, cmd);
   MIG_RETURN_IF_ERROR(reply.status);
-  if (obs::active()) {
+  if (obs::enabled()) {
     span.finish({{"checkpoint_bytes", reply.blob.size()}});
     obs::metrics().add("migration.checkpoints");
     obs::metrics().observe("migration.checkpoint_bytes", reply.blob.size());
@@ -234,15 +234,9 @@ Status EnclaveMigrator::restore(
     // ciphertext (its OPENGRANT will be refused). A failure here means the
     // restored enclave is NOT rollback-protected; the caller opted into that
     // protection, so surface it as a restore failure.
-    counter_channels_.push_back(world_->make_channel());
-    store::CounterBackend* ctr = opts.counter_service;
-    sim::Channel* cch = counter_channels_.back().get();
-    world_->executor().spawn("ctr-advance", [ctr, cch](sim::ThreadCtx& c) {
-      ctr->serve_one(c, cch->a());
-    });
     sdk::ControlCmd advance;
     advance.type = sdk::ControlCmd::Type::kAdvanceCounter;
-    advance.channel = cch->b();
+    advance.channel = serve_counter(*opts.counter_service, "ctr-advance");
     MIG_RETURN_IF_ERROR(host.mailbox().post(ctx, advance).status);
   }
 
@@ -258,6 +252,16 @@ Status EnclaveMigrator::restore(
                                std::move(source_instance));
 }
 
+sim::Channel::End EnclaveMigrator::serve_counter(store::CounterBackend& ctr,
+                                                 const char* thread) {
+  counter_channels_.push_back(world_->make_channel());
+  sim::Channel* ch = counter_channels_.back().get();
+  world_->executor().spawn(thread, [&ctr, ch](sim::ThreadCtx& c) {
+    ctr.serve_one(c, ch->a());
+  });
+  return ch->b();
+}
+
 Result<Bytes> EnclaveMigrator::snapshot_to_store(
     sim::ThreadCtx& ctx, sdk::EnclaveHost& host,
     store::SealedSnapshotStore& snapshots, const EnclaveMigrateOptions& opts) {
@@ -265,15 +269,9 @@ Result<Bytes> EnclaveMigrator::snapshot_to_store(
     return Error(ErrorCode::kInvalidArgument,
                  "snapshot_to_store needs a counter service");
   obs::Span<sim::ThreadCtx> span(ctx, "store.snapshot", "store");
-  counter_channels_.push_back(world_->make_channel());
-  store::CounterBackend* ctr = opts.counter_service;
-  sim::Channel* ch = counter_channels_.back().get();
-  world_->executor().spawn("ctr-sealgrant", [ctr, ch](sim::ThreadCtx& c) {
-    ctr->serve_one(c, ch->a());
-  });
   sdk::ControlCmd cmd;
   cmd.type = sdk::ControlCmd::Type::kStoreSnapshot;
-  cmd.channel = ch->b();
+  cmd.channel = serve_counter(*opts.counter_service, "ctr-sealgrant");
   cmd.cipher = opts.cipher;
   cmd.chunk_bytes = opts.chunk_bytes;
   cmd.seal_workers = opts.seal_workers;
@@ -287,7 +285,7 @@ Result<Bytes> EnclaveMigrator::snapshot_to_store(
                        sdk::parse_snapshot_envelope(reply.blob));
   MIG_ASSIGN_OR_RETURN(Bytes id, snapshots.put(ctx, reply.blob));
   MIG_RETURN_IF_ERROR(snapshots.set_head(ctx, envelope.mrenclave, id));
-  if (obs::active()) {
+  if (obs::enabled()) {
     span.finish(
         {{"bytes", reply.blob.size()}, {"counter", envelope.counter}});
     obs::metrics().add("migration.store_snapshots");
@@ -318,15 +316,9 @@ Status EnclaveMigrator::restore_from_store(sim::ThreadCtx& ctx,
 
   MIG_RETURN_IF_ERROR(host.create(ctx));
   Status st = [&]() -> Status {
-    counter_channels_.push_back(world_->make_channel());
-    store::CounterBackend* ctr = opts.counter_service;
-    sim::Channel* ch = counter_channels_.back().get();
-    world_->executor().spawn("ctr-opengrant", [ctr, ch](sim::ThreadCtx& c) {
-      ctr->serve_one(c, ch->a());
-    });
     sdk::ControlCmd cmd;
     cmd.type = sdk::ControlCmd::Type::kStoreRestore;
-    cmd.channel = ch->b();
+    cmd.channel = serve_counter(*opts.counter_service, "ctr-opengrant");
     cmd.cipher = opts.cipher;
     cmd.blob = std::move(blob);
     sdk::ControlReply restored = host.mailbox().post(ctx, cmd);
@@ -518,7 +510,7 @@ Result<uint64_t> VmMigrationSession::prepare_process(sim::ThreadCtx& ctx,
       m.delta_segments.push_back(std::move(dump.segment));
       m.checkpoint = sdk::encode_delta_container(m.delta_segments);
       m.delta_segments.clear();
-      if (obs::active()) {
+      if (obs::enabled()) {
         obs::metrics().add("migration.checkpoints");
         obs::metrics().observe("migration.checkpoint_bytes",
                                m.checkpoint.size());
@@ -717,6 +709,16 @@ Result<hv::MigrationReport> VmMigrationSession::run(sim::ThreadCtx& ctx) {
   }
 
   guest_->set_migration_target(*target_);
+  // The stop gate and the post-copy abort capture this session: clear both
+  // on every return, so a later migration of the same guest cannot call
+  // into a session that is gone.
+  struct GuestHookScope {
+    guestos::GuestOs* guest;
+    ~GuestHookScope() {
+      guest->set_stop_gate(nullptr);
+      guest->set_postcopy_abort(nullptr);
+    }
+  } hook_scope{guest_};
   // Do not let stop-and-copy happen while agent key pre-deliveries are still
   // in flight — the VM keeps running (and pre-copying) until then.
   guest_->set_stop_gate([this] {
@@ -841,7 +843,7 @@ Result<hv::MigrationReport> VmMigrationSession::run(sim::ThreadCtx& ctx) {
     }
     report->publish_metrics("migration");
   }
-  if (obs::tracing_enabled()) {
+  if (obs::enabled()) {
     // Fold the capture into the per-phase ledger and attach it, so the
     // trace-derived budget publishes alongside the engine's own numbers
     // (attr.downtime_ns must reproduce migration.downtime_ns exactly).

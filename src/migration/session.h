@@ -139,6 +139,12 @@ class EnclaveMigrator {
                             const EnclaveMigrateOptions& opts);
 
  private:
+  // Opens a retained channel to `ctr`, serves one request on its a end from
+  // a helper sim thread named `thread`, and returns the b end for the
+  // enclave's command.
+  sim::Channel::End serve_counter(store::CounterBackend& ctr,
+                                  const char* thread);
+
   // Channels to counter-service helper threads. Retained for the migrator's
   // lifetime: a helper whose enclave refused the command in-enclave only
   // retires at its serve timeout, long after the store call returned — the

@@ -94,7 +94,7 @@ uint64_t AttributionLedger::span_total_ns(std::string_view name) const {
 }
 
 void AttributionLedger::publish() const {
-  if (!metrics_enabled() || !present) return;
+  if (!enabled() || !present) return;
   MetricsRegistry& m = metrics();
   m.set_gauge("attr.total_ns", total_ns);
   m.set_gauge("attr.downtime_ns", downtime_ns);

@@ -20,7 +20,7 @@ void FlightRecorder::record(uint64_t ts_ns, uint32_t tid, std::string where,
   slot.what = std::move(what);
   slot.detail = std::move(detail);
   ++count_;
-  if (metrics_enabled()) {
+  if (enabled()) {
     metrics().add("flightrec.records");
     metrics().set_gauge("flightrec.dropped", dropped());
   }

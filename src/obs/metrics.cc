@@ -11,9 +11,6 @@ MetricsRegistry& MetricsRegistry::global() {
   return *registry;
 }
 
-void MetricsRegistry::set_enabled(bool on) { internal::g_metrics_on = on; }
-bool MetricsRegistry::enabled() const { return internal::g_metrics_on; }
-
 void MetricsRegistry::clear() {
   counters_.clear();
   gauges_.clear();

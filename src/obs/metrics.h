@@ -24,7 +24,7 @@
 #include <string>
 #include <string_view>
 
-#include "obs/trace.h"  // enable flags + json_escape live there
+#include "obs/trace.h"  // the enable switch + json_escape live there
 
 namespace mig::obs {
 
@@ -42,8 +42,6 @@ class MetricsRegistry {
 
   static MetricsRegistry& global();
 
-  void set_enabled(bool on);
-  bool enabled() const;
   void clear();
 
   // Recording (no-ops while disabled).

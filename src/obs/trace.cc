@@ -9,8 +9,7 @@
 namespace mig::obs {
 
 namespace internal {
-bool g_trace_on = false;
-bool g_metrics_on = false;
+bool g_enabled = false;
 
 namespace {
 // MIG_TRACE=1 (or any non-empty value other than "0") switches the whole
@@ -18,10 +17,8 @@ namespace {
 // this to run the full suite with observability on.
 bool env_init() {
   const char* v = std::getenv("MIG_TRACE");
-  if (v != nullptr && v[0] != '\0' && !(v[0] == '0' && v[1] == '\0')) {
-    g_trace_on = true;
-    g_metrics_on = true;
-  }
+  if (v != nullptr && v[0] != '\0' && !(v[0] == '0' && v[1] == '\0'))
+    g_enabled = true;
   return true;
 }
 const bool g_env_initialized = env_init();
@@ -32,8 +29,6 @@ TraceRecorder& TraceRecorder::global() {
   static TraceRecorder* recorder = new TraceRecorder();
   return *recorder;
 }
-
-void TraceRecorder::set_enabled(bool on) { internal::g_trace_on = on; }
 
 void TraceRecorder::clear() {
   events_.clear();
@@ -214,20 +209,15 @@ std::string TraceRecorder::chrome_json() const {
   return out;
 }
 
-ScopedObservation::ScopedObservation()
-    : prev_trace_(internal::g_trace_on), prev_metrics_(internal::g_metrics_on) {
+ScopedObservation::ScopedObservation(bool on) : prev_(internal::g_enabled) {
   TraceRecorder::global().clear();
   MetricsRegistry::global().clear();
   // The flight recorder is always on; clearing it here scopes failure
   // forensics to this capture the same way traces and metrics are scoped.
   FlightRecorder::global().clear();
-  internal::g_trace_on = true;
-  internal::g_metrics_on = true;
+  internal::g_enabled = on;
 }
 
-ScopedObservation::~ScopedObservation() {
-  internal::g_trace_on = prev_trace_;
-  internal::g_metrics_on = prev_metrics_;
-}
+ScopedObservation::~ScopedObservation() { internal::g_enabled = prev_; }
 
 }  // namespace mig::obs

@@ -15,7 +15,7 @@
 //    handoff at explicit points). Same seed + same program = byte-identical
 //    JSON, so traces are diffable in tests.
 //  * Near-zero cost when disabled: every entry point checks one global bool;
-//    call sites that would build argument strings guard on obs::active()
+//    call sites that would build argument strings guard on obs::enabled()
 //    first. No allocation, no locking, nothing else happens when off.
 //  * No dependency on sim/: spans are templated on the context type (they
 //    only need now()/id()/name()), so sim itself can be instrumented without
@@ -23,7 +23,7 @@
 //
 // The recorder is process-global and disabled by default; tests use
 // ScopedObservation to enable + clear it for one capture. Setting MIG_TRACE=1
-// in the environment enables tracing (and metrics) from startup, which is how
+// in the environment enables tracing and metrics from startup, which is how
 // the `trace` ctest preset runs the whole suite instrumented.
 #pragma once
 
@@ -36,16 +36,12 @@
 namespace mig::obs {
 
 namespace internal {
-extern bool g_trace_on;
-extern bool g_metrics_on;
+extern bool g_enabled;
 }  // namespace internal
 
-inline bool tracing_enabled() { return internal::g_trace_on; }
-inline bool metrics_enabled() { return internal::g_metrics_on; }
-// Guard for call sites that build args for trace and/or metrics.
-inline bool active() {
-  return internal::g_trace_on || internal::g_metrics_on;
-}
+// The one switch for tracing and metrics (MIG_TRACE or a ScopedObservation
+// sets it). Also the guard for call sites that build args for either.
+inline bool enabled() { return internal::g_enabled; }
 
 // One key/value argument attached to a trace event. Values are u64 or string
 // (everything the instrumentation needs: byte counts, round numbers, phase
@@ -80,8 +76,6 @@ class TraceRecorder {
 
   static TraceRecorder& global();
 
-  void set_enabled(bool on);
-  bool enabled() const { return internal::g_trace_on; }
   // Drops all recorded events and thread names.
   void clear();
 
@@ -121,7 +115,7 @@ class Span {
  public:
   Span() = default;
   Span(Ctx& ctx, std::string name, std::string cat, Args args = {}) {
-    if (!tracing_enabled()) return;
+    if (!enabled()) return;
     ctx_ = &ctx;
     trace().begin(ctx.now(), ctx.id(), ctx.name(), std::move(name),
                   std::move(cat), std::move(args));
@@ -146,24 +140,23 @@ class Span {
 template <typename Ctx>
 inline void instant(Ctx& ctx, std::string name, std::string cat,
                     Args args = {}) {
-  if (!tracing_enabled()) return;
+  if (!enabled()) return;
   trace().instant(ctx.now(), ctx.id(), ctx.name(), std::move(name),
                   std::move(cat), std::move(args));
 }
 
-// Enables trace + metrics for one capture, clearing previous data; restores
-// the prior enable flags on destruction (recorded data stays readable until
-// the next capture clears it).
+// Turns trace + metrics on (or, with `on` false, off) for one capture,
+// clearing previous data; restores the prior switch on destruction
+// (recorded data stays readable until the next capture clears it).
 class ScopedObservation {
  public:
-  ScopedObservation();
+  explicit ScopedObservation(bool on = true);
   ~ScopedObservation();
   ScopedObservation(const ScopedObservation&) = delete;
   ScopedObservation& operator=(const ScopedObservation&) = delete;
 
  private:
-  bool prev_trace_;
-  bool prev_metrics_;
+  bool prev_;
 };
 
 // Escapes a string for embedding in JSON output (shared by trace/metrics/

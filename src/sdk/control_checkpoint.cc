@@ -247,7 +247,7 @@ Bytes seal_plain_chunked(ControlCore& c, Bytes plain_in, ByteSpan key,
   p->chunk_bytes = chunk_bytes;
   p->todo.resize(workers);
   p->done.resize(workers);
-  if (obs::metrics_enabled()) {
+  if (obs::enabled()) {
     auto& m = obs::metrics();
     m.set_gauge("pipeline.depth", workers);
     m.set_gauge("pipeline.chunk_bytes", chunk_bytes);
@@ -298,7 +298,7 @@ Bytes seal_plain_chunked(ControlCore& c, Bytes plain_in, ByteSpan key,
               done.push_back(SealedRun{cl.first + k, std::move((*sealed)[k])});
               p->result_ev.set(tc);
             }
-            if (obs::metrics_enabled()) {
+            if (obs::enabled()) {
               obs::metrics().add("pipeline.chunks_sealed", cl.count);
               obs::metrics().observe("pipeline.batch_seal_ns", tc.now() - t0);
             }

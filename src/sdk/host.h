@@ -68,16 +68,14 @@ class EnclaveHost {
   void register_ocall(uint64_t id, EnclaveEnv::OcallFn fn) {
     ocalls_[id] = std::move(fn);
   }
-  const EnclaveEnv::OcallTable& ocalls() const { return ocalls_; }
 
-  // ---- migration plumbing (used by migration::MigrationManager) ----
+  // ---- migration plumbing (used by src/migration/) ----
   ControlMailbox& mailbox();
   EnclaveInstance* instance() { return instance_.get(); }
   const Layout& layout() const { return built_.layout; }
   const sgx::EnclaveImage& image() const { return built_.image; }
   const OwnerCredentials& owner_credentials() const { return built_.owner; }
   guestos::Process& process() { return *process_; }
-  guestos::GuestOs& os() { return *os_; }
 
   // Marks workers "parked": in-flight ecalls wait for finish_migration().
   // The done event is re-armed here so a second migration of the same

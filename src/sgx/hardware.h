@@ -15,7 +15,8 @@
 //    anywhere; it performs all architectural checks and state transitions and
 //    returns CSSA in rax like the hardware does. The runtime executes the
 //    entry stub next, as the measured image dictates.
-//  * AEX is delivered by the executor's preemption hook. The interrupted
+//  * AEX is raised by the SDK's enclave environment at an aex_point() once a
+//    1 ms timer tick has elapsed (sdk/enclave_env.h). The interrupted
 //    execution context is an opaque blob the runtime hands to aex(); the
 //    hardware stores it in the thread's current SSA frame *inside the
 //    enclave*, increments the software-invisible CSSA, and scrubs core state
@@ -168,8 +169,6 @@ class SgxHardware {
   // ESWPOUT: exports one page (including TCS pages with their CSSA!).
   Result<MigratedPage> eswpout(sim::ThreadCtx& ctx, EnclaveId eid,
                                uint64_t lin_addr);
-  // ECHANGEOUT: re-wraps an already-EWB-evicted page under the migration key.
-  Result<MigratedPage> echangeout(sim::ThreadCtx& ctx, const EvictedPage& page);
   // Exports the frozen enclave's SECS for the target to rebuild from.
   Result<MigratedSecs> emigrate_export_secs(sim::ThreadCtx& ctx, EnclaveId eid);
   // Target side: creates a frozen enclave shell from a migrated SECS.

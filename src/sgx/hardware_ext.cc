@@ -1,8 +1,10 @@
 // Implementation of the paper's §VII-B hardware suggestions for transparent
-// enclave migration: EPUTKEY / EMIGRATE / ESWPOUT / ECHANGEOUT / ESWPIN /
-// EMIGRATEDONE (ECHANGEIN is subsumed by ESWPIN here: both import a
-// migration-key-wrapped page). Guarded by HardwareConfig::migration_ext so
-// benches can ablate hardware-assisted vs. the paper's software mechanism.
+// enclave migration: EPUTKEY / EMIGRATE / ESWPOUT / ESWPIN / EMIGRATEDONE
+// (ECHANGEIN is subsumed by ESWPIN here: both import a migration-key-wrapped
+// page). ECHANGEOUT, which re-wraps an EWB-evicted page, is not modelled:
+// the hardware-assisted path exports resident pages only. Guarded by
+// HardwareConfig::migration_ext so benches can ablate hardware-assisted vs.
+// the paper's software mechanism.
 #include "crypto/ciphers.h"
 #include "crypto/hmac.h"
 #include "sgx/hardware.h"
@@ -97,48 +99,6 @@ Result<SgxHardware::MigratedPage> SgxHardware::eswpout(sim::ThreadCtx& ctx,
   enc->migrate_pages += 1;
   // The page stays resident at the source until EREMOVE; the freeze
   // guarantees it cannot change, so exporting is idempotent and safe.
-  return out;
-}
-
-Result<SgxHardware::MigratedPage> SgxHardware::echangeout(
-    sim::ThreadCtx& ctx, const EvictedPage& evicted) {
-  if (!config_.migration_ext) return Status(ext_disabled());
-  Enclave* enc = find(evicted.eid);
-  if (enc == nullptr)
-    return Error(ErrorCode::kNotFound, "ECHANGEOUT: no enclave");
-  if (!enc->migrating)
-    return Error(ErrorCode::kFailedPrecondition, "ECHANGEOUT before EMIGRATE");
-  // Verify with the paging keys first (same checks as ELDB minus VA).
-  crypto::Digest mac =
-      crypto::hmac_sha256(paging_mac_key_, paging_mac_input(evicted));
-  if (!crypto::ct_equal(mac, evicted.mac))
-    return Error(ErrorCode::kIntegrityViolation, "ECHANGEOUT: MAC mismatch");
-  ctx.work_atomic(cost_->ewb_ns_per_page);
-
-  Bytes payload = evicted.ciphertext;
-  Bytes nonce(12, 0);
-  for (int i = 0; i < 8; ++i)
-    nonce[i] = static_cast<uint8_t>(evicted.version >> (8 * i));
-  for (int i = 0; i < 4; ++i)
-    nonce[8 + i] = static_cast<uint8_t>((evicted.lin_addr >> 12) >> (8 * i));
-  crypto::chacha20_xor(paging_key_, nonce, 0, payload);  // un-wrap paging key
-
-  MigratedPage out;
-  out.eid = evicted.eid;
-  out.lin_addr = evicted.lin_addr;
-  out.type = evicted.type;
-  out.perms = evicted.perms;
-  crypto::chacha20_xor(migration_enc_key_, mig_nonce(evicted.lin_addr), 0,
-                       payload);
-  out.ciphertext = std::move(payload);
-  Writer macw;
-  macw.u64(out.lin_addr);
-  macw.u8(static_cast<uint8_t>(out.type));
-  macw.bytes(out.ciphertext);
-  out.mac = crypto::hmac_sha256(migration_mac_key_, macw.data());
-
-  enc->migrate_hash.update(migrated_page_hash(out));
-  enc->migrate_pages += 1;
   return out;
 }
 

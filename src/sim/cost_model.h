@@ -58,7 +58,6 @@ struct CostModel {
   uint64_t upcall_interrupt_ns = 6'000;    // hypervisor->guest upcall
 
   // ---- hypervisor ----
-  uint64_t ept_violation_ns = 4'000;
   uint64_t hypercall_ns = 2'000;
 
   // ---- migration pipeline ----

@@ -206,12 +206,6 @@ void ThreadCtx::sleep(uint64_t ns) { executor_->thread_sleep(executor_->get(id_)
 void ThreadCtx::yield() { executor_->thread_yield(executor_->get(id_)); }
 uint64_t ThreadCtx::now() const { return executor_->get(id_).vtime; }
 
-ThreadCtx::PreemptHook ThreadCtx::set_preempt_hook(PreemptHook hook) {
-  auto& t = executor_->get(id_);
-  std::swap(t.preempt_hook, hook);
-  return hook;
-}
-
 // -------------------------------------------------------------------- Event
 
 void Event::wait(ThreadCtx& ctx) {
@@ -347,7 +341,7 @@ bool Executor::run_until(uint64_t deadline_ns) {
   // Scheduling stats fold into the metrics registry when the run ends, so a
   // traced capture carries the executor's view of the same interval.
   auto publish = [&] {
-    if (!obs::metrics_enabled()) return;
+    if (!obs::enabled()) return;
     auto& m = obs::metrics();
     m.set_gauge("sim.slices", stats_.slices);
     m.set_gauge("sim.preemptions", stats_.preemptions);
@@ -476,16 +470,6 @@ void Executor::thread_work(SimThread& t, uint64_t ns) {
     t.cpu_release = t.vtime;
     t.state = State::kRunnable;
     reschedule(t);
-    // Quantum boundary: deliver the preemption hook (unless we are already
-    // inside one — AEX handlers must not recursively AEX in the model).
-    if (chunk == quantum_ns_ && t.preempt_hook && !t.in_hook) {
-      ++stats_.preemptions;
-      t.in_hook = true;
-      auto hook = t.preempt_hook;  // copy: hook may replace itself
-      hook(*t.ctx);
-      t.in_hook = false;
-      check_kill(t);
-    }
   }
 }
 

@@ -20,12 +20,11 @@
 //    so contention — e.g. 8 enclaves x 3 threads on 4 VCPUs in Fig. 9(c) —
 //    emerges naturally and benches read elapsed virtual time, not wall time.
 //
-//  * Preemption: long work() bursts are split at a timer quantum; at each
-//    boundary the thread's preempt hook runs. The SGX runtime installs a hook
-//    while a thread is inside an enclave, which is how AEX (asynchronous
-//    enclave exit) is delivered — exactly the mechanism the paper relies on
-//    to interrupt long-running enclave threads during two-phase
-//    checkpointing.
+//  * Preemption: long work() bursts are split at a timer quantum, and each
+//    boundary is a scheduling point, so one long burst cannot hold a CPU
+//    while other threads wait. AEX (asynchronous enclave exit) is not
+//    delivered here: the SDK's enclave environment raises it from its own
+//    1 ms timer tick (sdk/enclave_env.h).
 //
 //  * Suspension: the guest OS can suspend/resume sim threads, which models
 //    stop_other_threads(). A *malicious* OS simply declines to call it —
@@ -60,13 +59,13 @@ class Executor;
 // scheduling goes through it. Only valid on the thread it was given to.
 class ThreadCtx {
  public:
-  // Charges `ns` of CPU time. The burst is split at the timer quantum and the
-  // preempt hook (if any) runs at each boundary. A scheduling point.
+  // Charges `ns` of CPU time. The burst is split at the timer quantum, with
+  // a scheduling point at each boundary.
   void work(uint64_t ns);
 
-  // Charges `ns` as one indivisible burst: no quantum split, no preemption
-  // hook. For bulk cost modeling (e.g. "this DMA took 3 ms"), not for code
-  // that must remain interruptible.
+  // Charges `ns` as one indivisible burst: no quantum split. For bulk cost
+  // modeling (e.g. "this DMA took 3 ms"), not for code that must remain
+  // interruptible.
   void work_atomic(uint64_t ns);
 
   // Becomes runnable again `ns` virtual nanoseconds from now, without
@@ -82,11 +81,6 @@ class ThreadCtx {
   ThreadId id() const { return id_; }
   const std::string& name() const { return name_; }
   Executor& executor() const { return *executor_; }
-
-  // Installs/clears the preemption hook invoked at timer-quantum boundaries
-  // inside work(). Returns the previous hook so callers can nest.
-  using PreemptHook = std::function<void(ThreadCtx&)>;
-  PreemptHook set_preempt_hook(PreemptHook hook);
 
   // Polls `pred` every `poll_ns` of virtual time until it returns true.
   // This is a genuine spin in virtual time (the caller burns CPU time), which
@@ -142,7 +136,9 @@ class Event {
 
 struct ExecutorStats {
   uint64_t slices = 0;       // scheduling decisions made
-  uint64_t preemptions = 0;  // quantum-boundary hook invocations
+  // Always 0: no scheduling point counts as a preemption. Kept because the
+  // metrics JSON (sim.preemptions) and perfbench report it.
+  uint64_t preemptions = 0;
   // Scheduler-to-fiber switches. A decision that picks the thread which
   // just stopped costs none, so this is at most `slices`.
   uint64_t switches = 0;
@@ -236,9 +232,7 @@ class Executor {
     // this virtual time even if the event never fires.
     uint64_t wait_deadline = kNoDeadline;
     bool kill_requested = false;
-    bool in_hook = false;  // preemption hook active (suppresses nesting)
     std::unique_ptr<ThreadCtx> ctx;
-    ThreadCtx::PreemptHook preempt_hook;
     ThreadFn fn;                   // the body; released when it returns
     std::unique_ptr<Fiber> fiber;  // from the first slice until finished
   };

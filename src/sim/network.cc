@@ -113,7 +113,7 @@ void Pipe::send_sized(ThreadCtx& sender, Bytes message, uint64_t virtual_bytes) 
   FaultDecision fd;
   if (fault_hook_) fd = fault_hook_(++sends_attempted_, message);
   if (fd.sever) severed_ = true;
-  if (obs::active()) {
+  if (obs::enabled()) {
     if (fd.sever) {
       obs::instant(sender, "fault.sever", "net");
       obs::metrics().add("sim.faults.injected");
@@ -131,7 +131,7 @@ void Pipe::send_sized(ThreadCtx& sender, Bytes message, uint64_t virtual_bytes) 
   // Dropped messages never touch the link: no bandwidth is consumed and
   // link_free_ns_ does not advance.
   if (severed_ || fd.drop) {
-    if (obs::active()) {
+    if (obs::enabled()) {
       if (fd.drop) {
         obs::instant(sender, "fault.drop", "net");
         obs::metrics().add("sim.faults.injected");
@@ -161,7 +161,7 @@ void Pipe::send_sized(ThreadCtx& sender, Bytes message, uint64_t virtual_bytes) 
   uint64_t arrival = tx_end + cost_->net_latency_ns + fd.extra_delay_ns;
   bytes_sent_ += size;
   ++messages_sent_;
-  if (obs::metrics_enabled()) {
+  if (obs::enabled()) {
     auto& m = obs::metrics();
     m.add("net.bytes_sent", size);
     m.add("net.msgs_sent");

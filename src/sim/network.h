@@ -66,7 +66,6 @@ class SharedLink {
 
   uint64_t bytes_for(int flow) const { return flows_[flow].bytes; }
   uint64_t rate_x100() const { return rate_x100_; }
-  size_t num_flows() const { return flows_.size(); }
 
  private:
   struct Flow {

@@ -193,14 +193,7 @@ TEST(Kv, MegabytesOfStateSurviveMigration) {
   world.executor().spawn("test", [&](sim::ThreadCtx& ctx) {
     ASSERT_TRUE(host.create(ctx).ok());
     // Provision so the key handshake can be signed.
-    auto ch = world.make_channel();
-    world.executor().spawn("owner", [&, c = ch.get()](sim::ThreadCtx& t) {
-      owner.serve_one(t, c->b());
-    });
-    sdk::ControlCmd prov;
-    prov.type = sdk::ControlCmd::Type::kProvision;
-    prov.channel = ch->a();
-    ASSERT_TRUE(host.mailbox().post(ctx, prov).status.ok());
+    ASSERT_TRUE(owner.provision(ctx, world, host).ok());
 
     Writer fill;
     fill.u64(2000);

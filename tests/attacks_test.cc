@@ -69,15 +69,7 @@ struct AttackBed {
   }
 
   void provision(sim::ThreadCtx& ctx, sdk::EnclaveHost& host) {
-    auto channel = world.make_channel();
-    world.executor().spawn("owner", [this, ch = channel.get()](
-                                        sim::ThreadCtx& c) {
-      owner.serve_one(c, ch->b());
-    });
-    sdk::ControlCmd cmd;
-    cmd.type = sdk::ControlCmd::Type::kProvision;
-    cmd.channel = channel->a();
-    ASSERT_TRUE(host.mailbox().post(ctx, cmd).status.ok());
+    ASSERT_TRUE(owner.provision(ctx, world, host).ok());
   }
 };
 

@@ -200,14 +200,7 @@ AttrRun run_attributed_migration(bool post_copy) {
   Result<hv::MigrationReport> report = Error(ErrorCode::kInternal, "unset");
   world.executor().spawn("driver", [&](sim::ThreadCtx& ctx) {
     ASSERT_TRUE(host->create(ctx).ok());
-    auto ch = world.make_channel();
-    world.executor().spawn("owner", [&, c = ch.get()](sim::ThreadCtx& t) {
-      owner.serve_one(t, c->b());
-    });
-    sdk::ControlCmd cmd;
-    cmd.type = sdk::ControlCmd::Type::kProvision;
-    cmd.channel = ch->a();
-    ASSERT_TRUE(host->mailbox().post(ctx, cmd).status.ok());
+    ASSERT_TRUE(owner.provision(ctx, world, *host).ok());
 
     migration::VmMigrationSession::Options opts;
     opts.post_copy = post_copy;
@@ -283,9 +276,9 @@ TEST(AttrPipeline, LedgerIsByteIdenticalAcrossIdenticalSeeds) {
 }
 
 TEST(AttrPipeline, NoLedgerWithoutTracing) {
-  // Without a ScopedObservation the session must not attach (or compute) an
+  // With observation off the session must not attach (or compute) an
   // attribution — present stays false and downstream consumers can tell.
-  if (obs::tracing_enabled()) GTEST_SKIP() << "suite runs instrumented";
+  obs::ScopedObservation off(/*on=*/false);
   hv::World world(4);
   hv::Machine& source = world.add_machine("source");
   hv::Machine& target = world.add_machine("target");

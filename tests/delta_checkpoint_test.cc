@@ -95,15 +95,7 @@ struct DeltaBed {
   }
 
   void provision(sim::ThreadCtx& ctx, sdk::EnclaveHost& host) {
-    auto channel = world.make_channel();
-    world.executor().spawn("owner", [this, ch = channel.get()](
-                                        sim::ThreadCtx& c) {
-      owner.serve_one(c, ch->b());
-    });
-    ControlCmd cmd;
-    cmd.type = ControlCmd::Type::kProvision;
-    cmd.channel = channel->a();
-    ASSERT_TRUE(host.mailbox().post(ctx, cmd).status.ok());
+    ASSERT_TRUE(owner.provision(ctx, world, host).ok());
   }
 
   void run(std::function<void(sim::ThreadCtx&)> fn) {

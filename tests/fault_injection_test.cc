@@ -286,16 +286,7 @@ TEST_P(FaultMatrix, TerminalStateIsExact) {
 
   world.executor().spawn("test", [&](sim::ThreadCtx& ctx) {
     ASSERT_TRUE(host.create(ctx).ok());
-    {
-      auto ch = world.make_channel();
-      world.executor().spawn("owner", [&, c = ch.get()](sim::ThreadCtx& t) {
-        owner.serve_one(t, c->b());
-      });
-      sdk::ControlCmd cmd;
-      cmd.type = sdk::ControlCmd::Type::kProvision;
-      cmd.channel = ch->a();
-      ASSERT_TRUE(host.mailbox().post(ctx, cmd).status.ok());
-    }
+    ASSERT_TRUE(owner.provision(ctx, world, host).ok());
     Writer w;
     w.u64(42);
     ASSERT_TRUE(host.ecall(ctx, 0, kEcallAdd, w.data()).ok());
@@ -444,16 +435,7 @@ TEST(FaultRecovery, CancelledMigrationCanBeRetriedSuccessfully) {
 
   world.executor().spawn("test", [&](sim::ThreadCtx& ctx) {
     ASSERT_TRUE(host.create(ctx).ok());
-    {
-      auto ch = world.make_channel();
-      world.executor().spawn("owner", [&, c = ch.get()](sim::ThreadCtx& t) {
-        owner.serve_one(t, c->b());
-      });
-      sdk::ControlCmd cmd;
-      cmd.type = sdk::ControlCmd::Type::kProvision;
-      cmd.channel = ch->a();
-      ASSERT_TRUE(host.mailbox().post(ctx, cmd).status.ok());
-    }
+    ASSERT_TRUE(owner.provision(ctx, world, host).ok());
     Writer w;
     w.u64(7);
     ASSERT_TRUE(host.ecall(ctx, 0, kEcallAdd, w.data()).ok());
@@ -540,14 +522,7 @@ struct StoreFaultBed {
   }
 
   void provision(sim::ThreadCtx& ctx, sdk::EnclaveHost& host) {
-    auto ch = world.make_channel();
-    world.executor().spawn("owner", [this, c = ch.get()](sim::ThreadCtx& t) {
-      owner.serve_one(t, c->b());
-    });
-    sdk::ControlCmd cmd;
-    cmd.type = sdk::ControlCmd::Type::kProvision;
-    cmd.channel = ch->a();
-    ASSERT_TRUE(host.mailbox().post(ctx, cmd).status.ok());
+    ASSERT_TRUE(owner.provision(ctx, world, host).ok());
   }
 
   void add(sim::ThreadCtx& ctx, sdk::EnclaveHost& host, uint64_t delta) {

@@ -59,14 +59,7 @@ struct FigBed {
   }
 
   void provision(sim::ThreadCtx& ctx, sdk::EnclaveHost& h) {
-    auto ch = world.make_channel();
-    world.executor().spawn("owner", [this, c = ch.get()](sim::ThreadCtx& t) {
-      owner.serve_one(t, c->b());
-    });
-    sdk::ControlCmd cmd;
-    cmd.type = sdk::ControlCmd::Type::kProvision;
-    cmd.channel = ch->a();
-    ASSERT_TRUE(h.mailbox().post(ctx, cmd).status.ok());
+    ASSERT_TRUE(owner.provision(ctx, world, h).ok());
   }
 };
 

@@ -1,32 +1,12 @@
-// Hypervisor-layer tests: vEPC accounting and the pre-copy live-migration
-// engine (convergence, downtime, transfer volume — the Fig. 10 substrate).
+// Hypervisor-layer tests: the pre-copy live-migration engine (convergence,
+// downtime, transfer volume — the Fig. 10 substrate).
 #include <gtest/gtest.h>
 
-#include "hv/hypervisor.h"
 #include "hv/live_migration.h"
 #include "hv/machine.h"
 
 namespace mig::hv {
 namespace {
-
-TEST(Hypervisor, VEpcFirstTouchChargesEptViolation) {
-  World world;
-  Machine& m = world.add_machine("m0");
-  Vm vm(VmConfig{}, DirtyModel{});
-  m.hypervisor().attach_vm(vm, 1024);
-  world.executor().spawn("t", [&](sim::ThreadCtx& ctx) {
-    EXPECT_EQ(m.hypervisor().hypercall_vepc_size(ctx, vm), 1024u);
-    uint64_t before = ctx.now();
-    m.hypervisor().touch_vepc_page(ctx, vm, 0);
-    uint64_t first = ctx.now() - before;
-    before = ctx.now();
-    m.hypervisor().touch_vepc_page(ctx, vm, 0);  // already mapped: free
-    EXPECT_EQ(ctx.now() - before, 0u);
-    EXPECT_GT(first, 0u);
-    EXPECT_EQ(m.hypervisor().vepc(vm).ept_violations, 1u);
-  });
-  ASSERT_TRUE(world.executor().run());
-}
 
 TEST(LiveMigration, PlainVmMigratesWithPaperLikeNumbers) {
   World world;

@@ -179,14 +179,7 @@ TEST(EnclaveLibc, AllocatorStateMigrates) {
   auto host = bed.make_host();
   bed.world.executor().spawn("t", [&](sim::ThreadCtx& ctx) {
     ASSERT_TRUE(host->create(ctx).ok());
-    auto ch = bed.world.make_channel();
-    bed.world.executor().spawn("owner", [&, c = ch.get()](sim::ThreadCtx& t) {
-      bed.owner.serve_one(t, c->b());
-    });
-    ControlCmd prov;
-    prov.type = ControlCmd::Type::kProvision;
-    prov.channel = ch->a();
-    ASSERT_TRUE(host->mailbox().post(ctx, prov).status.ok());
+    ASSERT_TRUE(bed.owner.provision(ctx, bed.world, *host).ok());
 
     uint64_t ptr = call_u64(ctx, *host, kMalloc, {128});
     call_u64(ctx, *host, kWrite, {ptr, 0x5109});

@@ -97,16 +97,8 @@ struct MigrationBed {
   // Launch-time provisioning (required before the source can sign the key
   // handshake): attest to the owner, decrypt the embedded identity key.
   void provision(sim::ThreadCtx& ctx, sdk::EnclaveHost& host) {
-    auto channel = world.make_channel();
-    world.executor().spawn("owner", [this, ch = channel.get()](
-                                        sim::ThreadCtx& c) {
-      owner.serve_one(c, ch->b());
-    });
-    ControlCmd cmd;
-    cmd.type = ControlCmd::Type::kProvision;
-    cmd.channel = channel->a();
-    sdk::ControlReply reply = host.mailbox().post(ctx, cmd);
-    ASSERT_TRUE(reply.status.ok()) << reply.status.to_string();
+    Status st = owner.provision(ctx, world, host);
+    ASSERT_TRUE(st.ok()) << st.to_string();
   }
 
   void run(std::function<void(sim::ThreadCtx&)> fn) {
@@ -132,16 +124,7 @@ TEST(Provisioning, UnknownEnclaveRefused) {
   bed.run([&](sim::ThreadCtx& ctx) {
     ASSERT_TRUE(host->create(ctx).ok());
     EnclaveOwner stranger(bed.world.ias(), crypto::Drbg(to_bytes("x")));
-    auto channel = bed.world.make_channel();
-    bed.world.executor().spawn("owner", [&, ch = channel.get()](
-                                            sim::ThreadCtx& c) {
-      stranger.serve_one(c, ch->b());
-    });
-    ControlCmd cmd;
-    cmd.type = ControlCmd::Type::kProvision;
-    cmd.channel = channel->a();
-    sdk::ControlReply reply = host->mailbox().post(ctx, cmd);
-    EXPECT_FALSE(reply.status.ok());
+    EXPECT_FALSE(stranger.provision(ctx, bed.world, *host).ok());
   });
 }
 

@@ -65,8 +65,7 @@ TEST(ObsJson, RejectsMalformedDocuments) {
 // Metrics registry.
 
 TEST(ObsMetrics, DisabledRegistryRecordsNothing) {
-  obs::ScopedObservation capture;
-  obs::metrics().set_enabled(false);
+  obs::ScopedObservation capture(/*on=*/false);
   obs::metrics().add("x.counter", 5);
   obs::metrics().set_gauge("x.gauge", 7);
   obs::metrics().observe("x.hist", 9);
@@ -186,8 +185,7 @@ struct FakeCtx {
 };
 
 TEST(ObsTrace, DisabledRecorderRecordsNothing) {
-  obs::ScopedObservation capture;
-  obs::trace().set_enabled(false);
+  obs::ScopedObservation capture(/*on=*/false);
   FakeCtx ctx;
   {
     obs::Span<FakeCtx> span(ctx, "work", "test");
@@ -369,14 +367,7 @@ Captured run_instrumented_migration() {
   world.executor().spawn("test", [&](sim::ThreadCtx& ctx) {
     for (auto& h : hosts) {
       ASSERT_TRUE(h->create(ctx).ok());
-      auto ch = world.make_channel();
-      world.executor().spawn("owner", [&, c = ch.get()](sim::ThreadCtx& t) {
-        owner.serve_one(t, c->b());
-      });
-      sdk::ControlCmd cmd;
-      cmd.type = sdk::ControlCmd::Type::kProvision;
-      cmd.channel = ch->a();
-      ASSERT_TRUE(h->mailbox().post(ctx, cmd).status.ok());
+      ASSERT_TRUE(owner.provision(ctx, world, *h).ok());
       Writer w;
       w.u64(5);
       ASSERT_TRUE(h->ecall(ctx, 0, kEcallAdd, w.data()).ok());

@@ -87,16 +87,8 @@ struct PipelineBed {
   }
 
   void provision(sim::ThreadCtx& ctx, sdk::EnclaveHost& host) {
-    auto channel = world.make_channel();
-    world.executor().spawn("owner", [this, ch = channel.get()](
-                                        sim::ThreadCtx& c) {
-      owner.serve_one(c, ch->b());
-    });
-    ControlCmd cmd;
-    cmd.type = ControlCmd::Type::kProvision;
-    cmd.channel = channel->a();
-    sdk::ControlReply reply = host.mailbox().post(ctx, cmd);
-    ASSERT_TRUE(reply.status.ok()) << reply.status.to_string();
+    Status st = owner.provision(ctx, world, host);
+    ASSERT_TRUE(st.ok()) << st.to_string();
   }
 
   void run(std::function<void(sim::ThreadCtx&)> fn) {

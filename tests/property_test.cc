@@ -76,14 +76,7 @@ struct PropBed {
   }
 
   void provision(sim::ThreadCtx& ctx, sdk::EnclaveHost& host) {
-    auto ch = world.make_channel();
-    world.executor().spawn("owner", [this, c = ch.get()](sim::ThreadCtx& t) {
-      owner.serve_one(t, c->b());
-    });
-    sdk::ControlCmd cmd;
-    cmd.type = sdk::ControlCmd::Type::kProvision;
-    cmd.channel = ch->a();
-    ASSERT_TRUE(host.mailbox().post(ctx, cmd).status.ok());
+    ASSERT_TRUE(owner.provision(ctx, world, host).ok());
   }
 };
 
@@ -402,16 +395,7 @@ TEST_P(LeaseInterleavingSweep, AtMostOneInstanceEverHoldsTheLease) {
   int live = -1;
   world.executor().spawn("test", [&](sim::ThreadCtx& ctx) {
     ASSERT_TRUE(host_a.create(ctx).ok());
-    {
-      auto ch = world.make_channel();
-      world.executor().spawn("owner", [&, c = ch.get()](sim::ThreadCtx& t) {
-        owner.serve_one(t, c->b());
-      });
-      sdk::ControlCmd cmd;
-      cmd.type = sdk::ControlCmd::Type::kProvision;
-      cmd.channel = ch->a();
-      ASSERT_TRUE(host_a.mailbox().post(ctx, cmd).status.ok());
-    }
+    ASSERT_TRUE(owner.provision(ctx, world, host_a).ok());
     std::vector<Bytes> snaps;
     // A fenced (self-destroyed) instance spins any entered worker forever;
     // the test must not ecall into one. Mailbox commands stay safe.

@@ -105,14 +105,7 @@ struct QuorumBed {
   }
 
   void provision(sim::ThreadCtx& ctx, sdk::EnclaveHost& host) {
-    auto ch = world.make_channel();
-    world.executor().spawn("owner", [this, c = ch.get()](sim::ThreadCtx& t) {
-      owner.serve_one(t, c->b());
-    });
-    sdk::ControlCmd cmd;
-    cmd.type = sdk::ControlCmd::Type::kProvision;
-    cmd.channel = ch->a();
-    ASSERT_TRUE(host.mailbox().post(ctx, cmd).status.ok());
+    ASSERT_TRUE(owner.provision(ctx, world, host).ok());
   }
 
   Status bump(sim::ThreadCtx& ctx, sdk::EnclaveHost& host, uint64_t delta) {

@@ -6,6 +6,7 @@
 
 #include "hv/machine.h"
 #include "guestos/guest_os.h"
+#include "obs/metrics.h"
 #include "sdk/builder.h"
 #include "sdk/host.h"
 #include "util/serde.h"
@@ -144,6 +145,7 @@ TEST(SdkHost, CreateEcallDestroy) {
 TEST(SdkHost, LongEcallSurvivesManyAexCycles) {
   TestBed bed;
   auto host = bed.make_host();
+  obs::ScopedObservation capture;
   bed.run([&](sim::ThreadCtx& ctx) {
     ASSERT_TRUE(host->create(ctx).ok());
     Writer w;
@@ -158,6 +160,9 @@ TEST(SdkHost, LongEcallSurvivesManyAexCycles) {
     ASSERT_TRUE(cssa.ok());
     EXPECT_EQ(*cssa, 0u);
   });
+  // One AEX per elapsed 1 ms timer tick of the enclave's own clock
+  // (EnclaveEnv::aex_point); the executor delivers none.
+  EXPECT_EQ(obs::metrics().counter("sdk.aex"), 5u);
 }
 
 TEST(SdkHost, UnknownEcallFails) {

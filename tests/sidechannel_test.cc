@@ -105,14 +105,7 @@ TEST(SizePadding, PaddedCheckpointStillRestores) {
                    bed.rng.fork(to_bytes("h2")));
   bed.world.executor().spawn("t", [&](sim::ThreadCtx& ctx) {
     ASSERT_TRUE(host.create(ctx).ok());
-    auto ch = bed.world.make_channel();
-    bed.world.executor().spawn("owner", [&, c = ch.get()](sim::ThreadCtx& t) {
-      owner.serve_one(t, c->b());
-    });
-    ControlCmd prov;
-    prov.type = ControlCmd::Type::kProvision;
-    prov.channel = ch->a();
-    ASSERT_TRUE(host.mailbox().post(ctx, prov).status.ok());
+    ASSERT_TRUE(owner.provision(ctx, bed.world, host).ok());
 
     Writer grow;
     grow.u64(100);

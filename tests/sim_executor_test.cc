@@ -1,5 +1,5 @@
 // Tests for the deterministic cooperative executor: virtual-time accounting,
-// multi-CPU contention, events, preemption hooks, suspension, kill, shutdown,
+// multi-CPU contention, events, suspension, kill, shutdown,
 // per-fiber exception and floating-point control state, and a pinned
 // schedule.
 #include "sim/executor.h"
@@ -126,48 +126,6 @@ TEST(Executor, DaemonDoesNotKeepRunAlive) {
       /*daemon=*/true);
   exec.spawn("main", [&](ThreadCtx& ctx) { ctx.work(10'000); });
   EXPECT_TRUE(exec.run());
-}
-
-TEST(Executor, PreemptHookFiresAtQuantumBoundaries) {
-  Executor exec(1, /*quantum_ns=*/10'000);
-  int hook_count = 0;
-  exec.spawn("t", [&](ThreadCtx& ctx) {
-    ctx.set_preempt_hook([&](ThreadCtx&) { ++hook_count; });
-    ctx.work(55'000);  // 5 full quanta + remainder
-    ctx.set_preempt_hook(nullptr);
-  });
-  ASSERT_TRUE(exec.run());
-  EXPECT_EQ(hook_count, 5);
-}
-
-TEST(Executor, WorkAtomicSkipsPreemptHook) {
-  Executor exec(1, 10'000);
-  int hook_count = 0;
-  exec.spawn("t", [&](ThreadCtx& ctx) {
-    ctx.set_preempt_hook([&](ThreadCtx&) { ++hook_count; });
-    ctx.work_atomic(100'000);
-    ctx.set_preempt_hook(nullptr);
-  });
-  ASSERT_TRUE(exec.run());
-  EXPECT_EQ(hook_count, 0);
-}
-
-TEST(Executor, HookMayChargeNestedWorkWithoutRecursion) {
-  Executor exec(1, 10'000);
-  int hook_count = 0;
-  uint64_t end_time = 0;
-  exec.spawn("t", [&](ThreadCtx& ctx) {
-    ctx.set_preempt_hook([&](ThreadCtx& c) {
-      ++hook_count;
-      c.work(25'000);  // longer than a quantum: must not re-trigger the hook
-    });
-    ctx.work(20'000);
-    ctx.set_preempt_hook(nullptr);
-    end_time = ctx.now();
-  });
-  ASSERT_TRUE(exec.run());
-  EXPECT_EQ(hook_count, 2);
-  EXPECT_EQ(end_time, 20'000u + 2 * 25'000u);
 }
 
 TEST(Executor, SuspendParksThreadUntilResume) {
@@ -381,19 +339,12 @@ TEST(Executor, ScheduleIsPinned) {
   std::vector<std::pair<ThreadId, uint64_t>> record;
   auto note = [&](ThreadCtx& ctx) { record.emplace_back(ctx.id(), ctx.now()); };
   Event go(exec), never(exec);
-  int hooks = 0;
 
   exec.spawn("worker", [&](ThreadCtx& ctx) {
-    ctx.set_preempt_hook([&](ThreadCtx& c) {
-      ++hooks;
-      c.work(2'500);  // inside the hook: no nested preemption
-      note(c);
-    });
     for (int i = 0; i < 4; ++i) {
       ctx.work(23'000);  // two full quanta and a remainder
       note(ctx);
     }
-    ctx.set_preempt_hook(nullptr);
     go.set(ctx);
     ctx.work(7'000);
     note(ctx);
@@ -462,11 +413,10 @@ TEST(Executor, ScheduleIsPinned) {
     mix(id);
     mix(now);
   }
-  EXPECT_EQ(record.size(), 63u);
-  EXPECT_EQ(hash, 4280880230980698973ull);
-  EXPECT_EQ(exec.stats().slices, 80u);
-  EXPECT_EQ(exec.stats().preemptions, 8u);
-  EXPECT_EQ(hooks, 8);
+  EXPECT_EQ(record.size(), 49u);
+  EXPECT_EQ(hash, 9567516833300505128ull);
+  EXPECT_EQ(exec.stats().slices, 66u);
+  EXPECT_EQ(exec.stats().preemptions, 0u);
 }
 
 TEST(Executor, RepickedThreadDoesNotSwitch) {

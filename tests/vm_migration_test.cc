@@ -70,15 +70,7 @@ struct VmBed {
   }
 
   void provision(sim::ThreadCtx& ctx, sdk::EnclaveHost& host) {
-    auto channel = world.make_channel();
-    world.executor().spawn("owner", [this, ch = channel.get()](
-                                        sim::ThreadCtx& c) {
-      owner.serve_one(c, ch->b());
-    });
-    sdk::ControlCmd cmd;
-    cmd.type = sdk::ControlCmd::Type::kProvision;
-    cmd.channel = channel->a();
-    ASSERT_TRUE(host.mailbox().post(ctx, cmd).status.ok());
+    ASSERT_TRUE(owner.provision(ctx, world, host).ok());
   }
 
   void run(std::function<void(sim::ThreadCtx&)> fn) {
@@ -221,6 +213,40 @@ TEST(VmMigration, EnclavesAddMeasurableOverhead) {
   EXPECT_GT(with_enc->transferred_bytes, plain.transferred_bytes);
   // Overhead stays small (paper: ~2% at this enclave count).
   EXPECT_LT(with_enc->total_ns, plain.total_ns * 1.2);
+}
+
+TEST(VmMigration, FinishedSessionLeavesNoHooksOnTheGuest) {
+  // A session installs a stop gate and a post-copy abort on the guest, and
+  // both capture the session. Once the session is gone, moving the same
+  // guest back without one must not call into it (under ASan that call is a
+  // heap-use-after-free).
+  hv::World world(4);
+  hv::Machine& home = world.add_machine("home");
+  hv::Machine& away = world.add_machine("away");
+  hv::VmConfig config;
+  config.memory_mb = 64;
+  hv::Vm vm(config, hv::DirtyModel{});
+  guestos::GuestOs guest(home, vm);
+  hv::LiveMigrationEngine bare(world.cost(), hv::MigrationParams{});
+  auto channel = world.make_channel();
+  Result<hv::MigrationReport> there = Error(ErrorCode::kInternal, "unset");
+  Result<hv::MigrationReport> back = Error(ErrorCode::kInternal, "unset");
+  world.executor().spawn("test", [&](sim::ThreadCtx& ctx) {
+    VmMigrationSession::Options opts;
+    opts.hybrid = true;
+    auto session = std::make_unique<VmMigrationSession>(world, vm, guest,
+                                                         home, away, opts);
+    there = session->run(ctx);
+    session.reset();
+    world.executor().spawn("qemu-dst", [&](sim::ThreadCtx& c) {
+      (void)bare.migrate_target(c, vm, channel->b());
+    });
+    back = bare.migrate_source(ctx, vm, channel->a());
+  });
+  ASSERT_TRUE(world.executor().run());
+  ASSERT_TRUE(there.ok()) << there.status().to_string();
+  ASSERT_TRUE(back.ok()) << back.status().to_string();
+  EXPECT_TRUE(back->success);
 }
 
 }  // namespace

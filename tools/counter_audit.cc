@@ -131,16 +131,7 @@ int emit(const char* scenario, const char* out_path) {
   bool ok = false;
   world.executor().spawn("driver", [&](sim::ThreadCtx& ctx) {
     MIG_CHECK(host->create(ctx).ok());
-    {
-      auto ch = world.make_channel();
-      world.executor().spawn("owner", [&, c = ch.get()](sim::ThreadCtx& t) {
-        owner.serve_one(t, c->b());
-      });
-      sdk::ControlCmd cmd;
-      cmd.type = sdk::ControlCmd::Type::kProvision;
-      cmd.channel = ch->a();
-      MIG_CHECK(host->mailbox().post(ctx, cmd).status.ok());
-    }
+    MIG_CHECK(owner.provision(ctx, world, *host).ok());
     Writer w;
     w.u64(42);
     MIG_CHECK(host->ecall(ctx, 0, kEcallAdd, w.data()).ok());

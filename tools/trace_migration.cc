@@ -100,14 +100,7 @@ int run_precopy() {
   world.executor().spawn("driver", [&](sim::ThreadCtx& ctx) {
     for (auto& h : hosts) {
       MIG_CHECK(h->create(ctx).ok());
-      auto ch = world.make_channel();
-      world.executor().spawn("owner", [&, c = ch.get()](sim::ThreadCtx& t) {
-        owner.serve_one(t, c->b());
-      });
-      sdk::ControlCmd cmd;
-      cmd.type = sdk::ControlCmd::Type::kProvision;
-      cmd.channel = ch->a();
-      MIG_CHECK(h->mailbox().post(ctx, cmd).status.ok());
+      MIG_CHECK(owner.provision(ctx, world, *h).ok());
     }
     // A live workload so the timeline shows application ecalls interleaving
     // with the migration machinery.
@@ -166,16 +159,7 @@ int run_postcopy() {
   Result<hv::MigrationReport> report = Error(ErrorCode::kInternal, "unset");
   world.executor().spawn("driver", [&](sim::ThreadCtx& ctx) {
     MIG_CHECK(host->create(ctx).ok());
-    {
-      auto ch = world.make_channel();
-      world.executor().spawn("owner", [&, c = ch.get()](sim::ThreadCtx& t) {
-        owner.serve_one(t, c->b());
-      });
-      sdk::ControlCmd cmd;
-      cmd.type = sdk::ControlCmd::Type::kProvision;
-      cmd.channel = ch->a();
-      MIG_CHECK(host->mailbox().post(ctx, cmd).status.ok());
-    }
+    MIG_CHECK(owner.provision(ctx, world, *host).ok());
     proc.spawn_thread("pump", [&](sim::ThreadCtx& wctx) {
       for (int i = 0; i < 2000; ++i) {
         Writer w;
@@ -238,16 +222,7 @@ int run_store() {
   bool ok = false;
   world.executor().spawn("driver", [&](sim::ThreadCtx& ctx) {
     MIG_CHECK(host->create(ctx).ok());
-    {
-      auto ch = world.make_channel();
-      world.executor().spawn("owner", [&, c = ch.get()](sim::ThreadCtx& t) {
-        owner.serve_one(t, c->b());
-      });
-      sdk::ControlCmd cmd;
-      cmd.type = sdk::ControlCmd::Type::kProvision;
-      cmd.channel = ch->a();
-      MIG_CHECK(host->mailbox().post(ctx, cmd).status.ok());
-    }
+    MIG_CHECK(owner.provision(ctx, world, *host).ok());
     Writer w;
     w.u64(42);
     MIG_CHECK(host->ecall(ctx, 0, kEcallAdd, w.data()).ok());
@@ -313,16 +288,7 @@ int run_quorum() {
   bool ok = false;
   world.executor().spawn("driver", [&](sim::ThreadCtx& ctx) {
     MIG_CHECK(host->create(ctx).ok());
-    {
-      auto ch = world.make_channel();
-      world.executor().spawn("owner", [&, c = ch.get()](sim::ThreadCtx& t) {
-        owner.serve_one(t, c->b());
-      });
-      sdk::ControlCmd cmd;
-      cmd.type = sdk::ControlCmd::Type::kProvision;
-      cmd.channel = ch->a();
-      MIG_CHECK(host->mailbox().post(ctx, cmd).status.ok());
-    }
+    MIG_CHECK(owner.provision(ctx, world, *host).ok());
     Writer w;
     w.u64(42);
     MIG_CHECK(host->ecall(ctx, 0, kEcallAdd, w.data()).ok());
@@ -421,14 +387,7 @@ int run_fleet() {
   world.executor().spawn("driver", [&](sim::ThreadCtx& ctx) {
     for (auto& h : hosts) {
       MIG_CHECK(h->create(ctx).ok());
-      auto ch = world.make_channel();
-      world.executor().spawn("owner", [&, c = ch.get()](sim::ThreadCtx& t) {
-        owner.serve_one(t, c->b());
-      });
-      sdk::ControlCmd cmd;
-      cmd.type = sdk::ControlCmd::Type::kProvision;
-      cmd.channel = ch->a();
-      MIG_CHECK(h->mailbox().post(ctx, cmd).status.ok());
+      MIG_CHECK(owner.provision(ctx, world, *h).ok());
     }
     auto r = sched.run(ctx);
     MIG_CHECK_MSG(r.ok(), r.status().to_string());

@@ -1,5 +1,7 @@
 #include "crypto/bignum.h"
 
+#include <immintrin.h>
+
 #include <algorithm>
 
 #include "crypto/kernels.h"
@@ -255,50 +257,17 @@ namespace {
 using Words = std::vector<uint64_t>;
 using u128 = unsigned __int128;
 
-// x as exactly n little-endian 64-bit words (it must fit), and back: the
-// limb format of the Montgomery kernels below.
-Words to_words(const BigNum& x, size_t n) {
-  Bytes be = x.to_bytes_padded(8 * n);
-  Words w(n, 0);
-  for (size_t i = 0; i < be.size(); ++i)
-    w[i / 8] |= uint64_t{be[be.size() - 1 - i]} << (8 * (i % 8));
-  return w;
-}
-
-BigNum from_words(const Words& w) {
-  Bytes be(8 * w.size());
-  for (size_t i = 0; i < be.size(); ++i)
-    be[be.size() - 1 - i] = static_cast<uint8_t>(w[i / 8] >> (8 * (i % 8)));
-  return BigNum::from_bytes(be);
-}
-
 // -m0^-1 mod 2^64 for odd m0. Newton's step x <- x(2 - m0 x) doubles the
 // number of correct low bits, and x = m0 is right to 3 (m0^2 = 1 mod 8), so
-// five steps reach 96 >= 64.
+// five steps reach 96 >= 64. Its low 52 bits are -m0^-1 mod 2^52.
 uint64_t neg_inverse(uint64_t m0) {
   uint64_t x = m0;
   for (int i = 0; i < 5; ++i) x *= 2 - m0 * x;
   return 0 - x;
 }
 
-// An odd modulus m > 1 as the kernels take it, with R = 2^(64n).
-struct MontModulus {
-  explicit MontModulus(const BigNum& modulus)
-      : m(to_words(modulus, (modulus.bit_length() + 63) / 64)),
-        m_inv(neg_inverse(m[0])),
-        r2(to_words(BigNum(1).shifted_left(128 * m.size()) % modulus,
-                    m.size())) {}
-
-  Words m;         // n words
-  uint64_t m_inv;  // -m^-1 mod 2^64
-  Words r2;        // R^2 mod m: one multiplication by it maps x to xR mod m
-};
-
-// 4-bit digit i of e, least significant first.
-unsigned nibble(const BigNum& e, size_t i) {
-  unsigned d = 0;
-  for (unsigned b = 0; b < 4; ++b) d |= unsigned{e.bit(4 * i + b)} << b;
-  return d;
+uint64_t low_bits(unsigned bits) {
+  return bits == 64 ? ~uint64_t{0} : (uint64_t{1} << bits) - 1;
 }
 
 // a < b, both n words.
@@ -560,31 +529,183 @@ MontSqrFn mont_sqr() {
   return kernel;
 }
 
+__attribute__((target("avx512ifma,avx512vl"))) void mont_mul_ifma(
+    uint64_t* out, const uint64_t* a, const uint64_t* b, const uint64_t* m,
+    uint64_t m_inv) {
+  constexpr uint64_t kMask = (uint64_t{1} << 52) - 1;
+  constexpr size_t kRegs = kIfmaLimbs / 4;
+  // The accumulator T, limb j in lane j % 4 of register j / 4, split into
+  // its a * b[i] terms (ab) and its q_i * m terms (mq).
+  __m256i va[kRegs], vm[kRegs], ab[kRegs], mq[kRegs];
+  const __m256i zero = _mm256_setzero_si256();
+#pragma GCC unroll 5
+  for (size_t r = 0; r < kRegs; ++r) {
+    va[r] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + 4 * r));
+    vm[r] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(m + 4 * r));
+    ab[r] = mq[r] = zero;
+  }
+  // The high 52 bits of x * y for x, y < 2^52: the high word of
+  // (x << 12) * y.
+  auto hi52 = [](uint64_t x_shifted, uint64_t y) {
+    return static_cast<uint64_t>((u128{x_shifted} * y) >> 64);
+  };
+  const uint64_t a0 = a[0], a1 = a[1], m1 = m[1];
+  const uint64_t a0_shifted = a[0] << 12, m0_shifted = m[0] << 12;
+  // T's limb 0, exactly. The registers' limb 0 lacks the carries added
+  // here, and is dropped unread by the step's shift.
+  uint64_t limb0 = 0;
+  for (size_t i = 0; i < kIfmaLimbs; ++i) {
+    const uint64_t bi = b[i];
+    // Limb 1 before this step; the step adds to it what the scalar adds
+    // below, so the sum is T's limb 0 after the shift.
+    const uint64_t limb1 = static_cast<uint64_t>(
+        _mm256_extract_epi64(_mm256_add_epi64(ab[0], mq[0]), 1));
+    const uint64_t s = limb0 + ((a0 * bi) & kMask);
+    const uint64_t q = (s * m_inv) & kMask;
+    // (s + (q m0 mod 2^52)) >> 52: the two low 52-bit parts sum to 2^52,
+    // or to 0 when s's is 0 (and so q is).
+    const uint64_t carry = (s >> 52) + ((s & kMask) != 0);
+    limb0 = limb1 + ((a1 * bi) & kMask) + hi52(a0_shifted, bi) + carry +
+            ((m1 * q) & kMask) + hi52(m0_shifted, q);
+
+    const __m256i vb = _mm256_set1_epi64x(static_cast<long long>(bi));
+    const __m256i vq = _mm256_set1_epi64x(static_cast<long long>(q));
+#pragma GCC unroll 5
+    for (size_t r = 0; r < kRegs; ++r) {
+      ab[r] = _mm256_madd52lo_epu64(ab[r], va[r], vb);
+      mq[r] = _mm256_madd52lo_epu64(mq[r], vm[r], vq);
+    }
+    // Drop limb 0: every limb moves down a lane, zero enters at the top.
+#pragma GCC unroll 5
+    for (size_t r = 0; r < kRegs; ++r) {
+      const __m256i ab_up = r + 1 < kRegs ? ab[r + 1] : zero;
+      const __m256i mq_up = r + 1 < kRegs ? mq[r + 1] : zero;
+      ab[r] = _mm256_alignr_epi64(ab_up, ab[r], 1);
+      mq[r] = _mm256_alignr_epi64(mq_up, mq[r], 1);
+    }
+#pragma GCC unroll 5
+    for (size_t r = 0; r < kRegs; ++r) {
+      ab[r] = _mm256_madd52hi_epu64(ab[r], va[r], vb);
+      mq[r] = _mm256_madd52hi_epu64(mq[r], vm[r], vq);
+    }
+  }
+  // T = ab + mq with limb 0 from the scalar; every lane is below 2^60, and
+  // one carry pass leaves 52-bit limbs.
+  uint64_t t[kIfmaLimbs];
+#pragma GCC unroll 5
+  for (size_t r = 0; r < kRegs; ++r)
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(t + 4 * r),
+                        _mm256_add_epi64(ab[r], mq[r]));
+  t[0] = limb0;
+  uint64_t carry = 0;
+  for (size_t j = 0; j < kIfmaLimbs; ++j) {
+    const uint64_t v = t[j] + carry;
+    out[j] = v & kMask;
+    carry = v >> 52;
+  }
+}
+
+bool cpu_has_ifma() {
+  static const bool has = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx512ifma") &&
+           __builtin_cpu_supports("avx512vl");
+  }();
+  return has;
+}
+
 }  // namespace kernels
+
+MontModulus::MontModulus(const BigNum& m) : m_(m) {
+  MIG_CHECK(m.is_odd() && BigNum(1) < m);
+  const size_t words = (m.bit_length() + 63) / 64;
+  ifma_ = words == kernels::kIfmaWords && kernels::cpu_has_ifma();
+  mod_.resize(ifma_ ? kernels::kIfmaLimbs : words);
+  to_limbs(m, mod_.data());
+  m_inv_ = neg_inverse(mod_[0]) & low_bits(radix());
+  r2_.resize(limbs());
+  to_limbs(BigNum(1).shifted_left(2 * radix() * limbs()) % m, r2_.data());
+}
+
+void MontModulus::to_limbs(const BigNum& x, uint64_t* out) const {
+  const unsigned bits = radix();
+  u128 pending = 0;  // the next `have` bits of x
+  unsigned have = 0;
+  size_t k = 0;
+  for (uint32_t limb : x.limbs_) {
+    pending |= u128{limb} << have;
+    for (have += 32; have >= bits; have -= bits) {
+      MIG_CHECK(k < limbs());
+      out[k++] = static_cast<uint64_t>(pending) & low_bits(bits);
+      pending >>= bits;
+    }
+  }
+  if (have > 0) {
+    MIG_CHECK(k < limbs());
+    out[k++] = static_cast<uint64_t>(pending);
+  }
+  std::fill(out + k, out + limbs(), 0);
+}
+
+BigNum MontModulus::from_limbs(const uint64_t* x) const {
+  BigNum out;
+  u128 pending = 0;
+  unsigned have = 0;
+  for (size_t k = 0; k < limbs(); ++k) {
+    pending |= u128{x[k]} << have;
+    for (have += radix(); have >= 32; have -= 32) {
+      out.limbs_.push_back(static_cast<uint32_t>(pending));
+      pending >>= 32;
+    }
+  }
+  if (have > 0) out.limbs_.push_back(static_cast<uint32_t>(pending));
+  out.trim();
+  return out;
+}
 
 namespace {
 
-// Montgomery multiplication modulo an odd m of n 64-bit words, R = 2^(64n),
-// on the kernels this CPU runs best.
+// Products and squarings modulo one MontModulus on the kernel it was given,
+// and conversion in and out of its Montgomery form.
 class MontMul {
  public:
-  MontMul(const Words& m, uint64_t m_inv)
-      : m_(m), m_inv_(m_inv), t_(2 * m.size() + 1),
+  explicit MontMul(const MontModulus& mod)
+      : mod_(mod), t_(mod.ifma() ? 0 : 2 * mod.limbs() + 1),
         mul_(kernels::mont_mul()), sqr_(kernels::mont_sqr()) {}
 
-  // out = a * b / R mod m for a, b < m. out may alias a or b.
+  // out = a * b / R (mod m). out may alias a or b.
   void operator()(uint64_t* out, const uint64_t* a, const uint64_t* b) {
-    mul_(out, a, b, m_.data(), m_inv_, m_.size(), t_.data());
+    if (mod_.ifma())
+      kernels::mont_mul_ifma(out, a, b, mod_.m(), mod_.m_inv());
+    else
+      mul_(out, a, b, mod_.m(), mod_.m_inv(), mod_.limbs(), t_.data());
   }
 
-  // out = a * a / R mod m for a < m. out may alias a.
+  // out = a * a / R (mod m). out may alias a.
   void sqr(uint64_t* out, const uint64_t* a) {
-    sqr_(out, a, m_.data(), m_inv_, m_.size(), t_.data());
+    if (mod_.ifma())
+      kernels::mont_mul_ifma(out, a, a, mod_.m(), mod_.m_inv());
+    else
+      sqr_(out, a, mod_.m(), mod_.m_inv(), mod_.limbs(), t_.data());
+  }
+
+  // out = x R (mod m), for any x.
+  void to_mont(uint64_t* out, const BigNum& x) {
+    mod_.to_limbs(x % mod_.modulus(), out);
+    (*this)(out, out, mod_.r2());
+  }
+
+  // The value x / R mod m, fully reduced.
+  BigNum from_mont(const uint64_t* x) {
+    Words y(mod_.limbs(), 0);
+    y[0] = 1;
+    (*this)(y.data(), x, y.data());  // at most m
+    BigNum out = mod_.from_limbs(y.data());
+    return out < mod_.modulus() ? out : out - mod_.modulus();
   }
 
  private:
-  const Words& m_;
-  uint64_t m_inv_;
+  const MontModulus& mod_;
   Words t_;
   kernels::MontMulFn mul_;
   kernels::MontSqrFn sqr_;
@@ -595,8 +716,8 @@ class MontMul {
 BigNum BigNum::modexp(const BigNum& e, const BigNum& m) const {
   MIG_CHECK(!m.is_zero());
   if (m == BigNum(1)) return BigNum();
-  BigNum base = *this % m;
   if (!m.is_odd()) {
+    BigNum base = *this % m;
     BigNum result(1);
     for (size_t i = e.bit_length(); i-- > 0;) {
       result = modmul(result, result, m);
@@ -604,57 +725,68 @@ BigNum BigNum::modexp(const BigNum& e, const BigNum& m) const {
     }
     return result;
   }
+  if (e.is_zero()) return BigNum(1);
 
-  // Odd m: Montgomery form x -> xR mod m, fixed 4-bit window over a table
-  // of base^d R mod m for d < 16.
+  // Odd m: Montgomery form, and a left-to-right sliding window of up to
+  // kWidth bits (Handbook of Applied Cryptography, Alg. 14.85) over a table
+  // of the odd powers base^1, base^3, ..., base^(2^kWidth - 1). Each window
+  // ends in a one bit and costs one product; zero bits between windows cost
+  // only their squaring.
+  constexpr size_t kWidth = 5;
   const MontModulus mod(m);
-  const size_t n = mod.m.size();
-  MontMul mul(mod.m, mod.m_inv);
-  const Words one = to_words(BigNum(1), n);
-  Words table(16 * n);
-  mul(&table[0], one.data(), mod.r2.data());
-  const Words b = to_words(base, n);
-  mul(&table[n], b.data(), mod.r2.data());
-  for (size_t d = 2; d < 16; ++d)
-    mul(&table[d * n], &table[(d - 1) * n], &table[n]);
+  const size_t n = mod.limbs();
+  MontMul mul(mod);
+  Words table((size_t{1} << (kWidth - 1)) * n);  // entry d: base^(2d + 1)
+  mul.to_mont(&table[0], *this);
+  Words square(n);
+  mul.sqr(square.data(), &table[0]);
+  for (size_t d = 1; d < (size_t{1} << (kWidth - 1)); ++d)
+    mul(&table[d * n], &table[(d - 1) * n], square.data());
 
-  Words acc(table.begin(), table.begin() + n);
-  const size_t digits = (e.bit_length() + 3) / 4;
-  for (size_t i = digits; i-- > 0;) {
-    if (i + 1 < digits)
-      for (int k = 0; k < 4; ++k) mul.sqr(acc.data(), acc.data());
-    if (unsigned d = nibble(e, i)) mul(acc.data(), acc.data(), &table[d * n]);
+  Words acc;  // empty until the top window
+  for (size_t i = e.bit_length(); i-- > 0;) {
+    if (!e.bit(i)) {
+      mul.sqr(acc.data(), acc.data());
+      continue;
+    }
+    size_t low = i + 1 > kWidth ? i + 1 - kWidth : 0;  // window e_i..e_low
+    while (!e.bit(low)) ++low;
+    size_t digit = 0;
+    for (size_t j = i + 1; j-- > low;) digit = 2 * digit + e.bit(j);
+    const uint64_t* entry = &table[(digit >> 1) * n];
+    if (acc.empty()) {
+      acc.assign(entry, entry + n);
+    } else {
+      for (size_t j = low; j <= i; ++j) mul.sqr(acc.data(), acc.data());
+      mul(acc.data(), acc.data(), entry);
+    }
+    i = low;
   }
-  mul(acc.data(), acc.data(), one.data());
-  return from_words(acc);
+  return mul.from_mont(acc.data());
 }
 
 FixedBaseTable::FixedBaseTable(const BigNum& base, const BigNum& m,
                                size_t max_exp_bits, size_t rows,
                                size_t blocks)
     : base_(base),
-      m_(m),
+      mod_(m),
       max_bits_(max_exp_bits),
       rows_(rows),
       blocks_(blocks),
       row_bits_((max_exp_bits + rows - 1) / rows),
       block_bits_((row_bits_ + blocks - 1) / blocks) {
-  MIG_CHECK(m.is_odd() && BigNum(1) < m);
   MIG_CHECK(max_exp_bits > 0 && rows > 0 && rows < 16 && blocks > 0);
   // Every block holds a column, so the bit offsets s a + j b of the entries
   // 2^s rise with (s, j).
   MIG_CHECK((blocks_ - 1) * block_bits_ < row_bits_);
-  const MontModulus mod(m);
-  const size_t n = mod.m.size();
-  mod_ = mod.m;
-  m_inv_ = mod.m_inv;
-  MontMul mul(mod_, m_inv_);
+  const size_t n = mod_.limbs();
+  MontMul mul(mod_);
   const size_t entries = size_t{1} << rows_;
   table_.assign(blocks_ * entries * n, 0);
   // Entry 2^s of block j is base^(2^(s a + j b)) R: one walk up the powers
   // base^(2^k) R by squaring passes each in turn. Entry 0 is never read.
-  Words x = to_words(base % m, n);
-  mul(x.data(), x.data(), mod.r2.data());
+  Words x(n);
+  mul.to_mont(x.data(), base);
   size_t k = 0;
   for (size_t s = 0; s < rows_; ++s) {
     for (size_t j = 0; j < blocks_; ++j) {
@@ -674,13 +806,11 @@ FixedBaseTable::FixedBaseTable(const BigNum& base, const BigNum& m,
 }
 
 BigNum FixedBaseTable::pow(const BigNum& e) const {
-  if (e.bit_length() > max_bits_) return base_.modexp(e, m_);
+  if (e.bit_length() > max_bits_) return base_.modexp(e, mod_.modulus());
   // Column k of block j gathers bit s a + j b + k of e for every row s into
   // an entry index; A = A^2 once per k, then A *= entry for every block.
-  const size_t n = mod_.size();
-  const Words ew = to_words(e, (rows_ * row_bits_ + 63) / 64);
-  auto bit = [&](size_t i) -> size_t { return (ew[i / 64] >> (i % 64)) & 1; };
-  MontMul mul(mod_, m_inv_);
+  const size_t n = mod_.limbs();
+  MontMul mul(mod_);
   Words acc;  // empty = 1
   for (size_t k = block_bits_; k-- > 0;) {
     if (!acc.empty()) mul.sqr(acc.data(), acc.data());
@@ -689,7 +819,7 @@ BigNum FixedBaseTable::pow(const BigNum& e) const {
       if (column >= row_bits_) continue;
       size_t index = 0;
       for (size_t s = 0; s < rows_; ++s)
-        index |= bit(s * row_bits_ + column) << s;
+        index |= size_t{e.bit(s * row_bits_ + column)} << s;
       if (index == 0) continue;
       const uint64_t* entry = &table_[((j << rows_) + index) * n];
       if (acc.empty())
@@ -699,8 +829,7 @@ BigNum FixedBaseTable::pow(const BigNum& e) const {
     }
   }
   if (acc.empty()) return BigNum(1);
-  mul(acc.data(), acc.data(), to_words(BigNum(1), n).data());
-  return from_words(acc);
+  return mul.from_mont(acc.data());
 }
 
 }  // namespace mig::crypto

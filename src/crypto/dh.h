@@ -16,8 +16,9 @@
 // over and over pays for its comb once; only dh_shared, and a verify key
 // not yet in the cache, pay for a variable-base BigNum::modexp or a comb
 // build of about its cost.
-// Every path multiplies and squares with the Montgomery kernels the CPU
-// runs best (MULX/ADCX/ADOX where CPUID reports them, see bignum.h), and
+// Every path multiplies and squares with the Montgomery kernel the CPU
+// runs best (AVX-512 IFMA for the group's 1,024-bit modulus, else
+// MULX/ADCX/ADOX, where CPUID reports them; see bignum.h), and
 // the Schnorr challenge hashes on SHA-NI where present (sha256.h). Every
 // value is the one plain modexp would give, and the cost model charges the
 // dh_*_ns / sig_*_ns virtual time however fast the host computes it.

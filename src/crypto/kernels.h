@@ -4,9 +4,12 @@
 // each fast kernel to its portable reference.
 //
 // The choice is made once per process from CPUID (the first call of
-// mont_mul(), mont_sqr() or sha256_blocks()); no option, environment
-// variable or build flag changes it. Both versions of a kernel give
-// bit-identical results, so the choice never shows in a value.
+// mont_mul(), mont_sqr(), cpu_has_ifma() or sha256_blocks()) and, for the
+// Montgomery kernels, the modulus width: a 16-word modulus runs on
+// mont_mul_ifma when the CPU has avx512ifma and avx512vl (MontModulus in
+// bignum.h), every other one on mont_mul()/mont_sqr(). No option,
+// environment variable or build flag changes it. Every version gives the
+// same value after the final reduction, so the choice never shows.
 #pragma once
 
 #include <cstddef>
@@ -53,6 +56,31 @@ void mont_sqr_adx(uint64_t* out, const uint64_t* a, const uint64_t* m,
                   uint64_t m_inv, size_t n, uint64_t* t);
 
 MontSqrFn mont_sqr();  // mont_sqr_adx if cpu_has_adx(), else the portable one
+
+// ---- Montgomery product on AVX-512 IFMA -------------------------------------
+//
+// An almost-Montgomery product for a modulus of kIfmaWords 64-bit words, in
+// radix 2^52: a, b, m and out are kIfmaLimbs limbs of 52 bits each (every
+// limb below 2^52), R = 2^1040 and m_inv = -m^-1 mod 2^52. For a, b < 2m,
+// out = (a * b + q * m) / R for the q < R that makes the sum divisible by
+// R, so out = a * b / R (mod m) and out < 2m: since 4m < R, values can stay
+// in [0, 2m) between products. out may alias a or b, and the squaring is
+// the product with b = a.
+//
+// Each operand is five 256-bit registers of four limbs. Step i adds
+// a * b[i] and q_i * m, the low 52 bits of each limb product at its limb
+// and the high bits at the next (vpmadd52luq/huq), and drops limb 0. The
+// a * b[i] and q_i * m terms add into separate registers, so the first
+// never waits for q_i. The quotient chain runs on general registers: limb 0
+// is carried in a scalar, fed each step from limb 1 as it stood before the
+// step, so no step waits for a vector-to-scalar move of what it produced.
+// Needs avx512ifma and avx512vl.
+constexpr size_t kIfmaWords = 16;
+constexpr size_t kIfmaLimbs = 20;
+void mont_mul_ifma(uint64_t* out, const uint64_t* a, const uint64_t* b,
+                   const uint64_t* m, uint64_t m_inv);
+
+bool cpu_has_ifma();  // the CPU has both avx512ifma and avx512vl
 
 // ---- SHA-256 compression ----------------------------------------------------
 //

@@ -4,7 +4,7 @@
 //    never change a key, a shared secret or a signature byte;
 //  * the Montgomery path of BigNum::modexp against a schoolbook reference
 //    kept here, over seeded odd moduli of 1-32 64-bit limbs and the edge
-//    bases and exponents;
+//    bases and exponents, and its sliding window at every window boundary;
 //  * the group's fixed-base generator comb and the verify-key comb against
 //    the generic path, at every row and block boundary and past the comb's
 //    width (the provisioning check raises gq to a decrypted 160-byte key,
@@ -12,7 +12,15 @@
 //    recomputed with modexp;
 //  * the MULX/ADX Montgomery product kernel against the portable one, and
 //    both squaring kernels against the portable product, word for word,
-//    with canaries around every buffer they touch.
+//    with canaries around every buffer they touch;
+//  * the AVX-512 IFMA kernel against the exact almost-Montgomery product,
+//    word for word, with canaries around every buffer.
+// On a CPU with avx512ifma and avx512vl every 16-word modulus runs on the
+// IFMA kernel, so there the 16-word cases of MatchesSchoolbookReference and
+// ModuliJustBelowAPowerOfTwo, the comb boundary tests and
+// SchnorrKeyCache.VerdictsMatchModexpAcrossEvictions exercise it, not the
+// ADX kernels; the ADX kernels' own tests, which call them directly for
+// 1-32 words, keep their 16-word behaviour covered.
 #include <gtest/gtest.h>
 
 #include "crypto/bignum.h"
@@ -171,6 +179,57 @@ TEST(BigNumMontgomery, SmallOddModuli) {
     BigNum e = BigNum(0x123456789abcdefull);
     EXPECT_EQ(b.modexp(e, m), reference_modexp(b, e, m));
   }
+}
+
+TEST(BigNumMontgomery, SlidingWindowMatchesReference) {
+  // modexp scans the exponent from the top in windows of up to 5 bits that
+  // end in a one. Every exponent below 2^12 covers every short window
+  // sequence; ones with a 4-6 bit run of zeros at each position (so at
+  // every offset mod 5 from the top) cover windows cut short by a run, runs
+  // at the bottom and runs just under the top bit. Oakley-2 p runs on the
+  // 16-word engine (IFMA where the CPU has it), 1000003 on the 64-bit one.
+  // Below 2^12 the reference is the running product base^e = base^(e-1)
+  // base, itself held to reference_modexp at 2^12.
+  const DhGroup& g = DhGroup::oakley2();
+  Drbg rng(to_bytes("sliding-window"));
+  std::vector<BigNum> exps;
+  for (uint64_t e = 0; e < 4096; ++e) exps.push_back(BigNum(e));
+  constexpr size_t kOnes = 48;
+  const uint64_t ones = (uint64_t{1} << kOnes) - 1;
+  for (size_t run = 4; run <= 6; ++run)
+    for (size_t at = 0; at + run < kOnes; ++at)
+      exps.push_back(BigNum(ones & ~(((uint64_t{1} << run) - 1) << at)));
+  exps.push_back(BigNum(1).shifted_left(1023) - BigNum(1));  // all ones
+  exps.push_back(g.q - BigNum(1));
+  for (const BigNum& m : {g.p, BigNum(1000003)}) {
+    const BigNum base = random_bits(rng, m.bit_length()) % m;
+    BigNum power = BigNum(1);  // base^e for e < 4096, one product at a time
+    for (size_t i = 0; i < exps.size(); ++i) {
+      const BigNum want = i < 4096 ? power : reference_modexp(base, exps[i], m);
+      ASSERT_EQ(base.modexp(exps[i], m), want)
+          << "m " << m.bit_length() << " bits, exp "
+          << hex_encode(exps[i].to_bytes());
+      if (i < 4096) power = (power * base) % m;
+    }
+    EXPECT_EQ(power, reference_modexp(base, BigNum(4096), m));
+  }
+}
+
+TEST(BigNumMontgomery, ZeroDivisorPowersReduceFully) {
+  // With m = 9k and base 3k, base^e = 0 (mod m) for e >= 2. The
+  // almost-Montgomery products of the 16-word engine give such a value as
+  // m, not 0, so only the final reduction on the way out makes it 0.
+  Drbg rng(to_bytes("zero-divisor"));
+  const BigNum k = random_bits(rng, 1016) + BigNum(1).shifted_left(1016);
+  const BigNum m = BigNum(9) * (k.is_odd() ? k : k + BigNum(1));
+  ASSERT_EQ((m.bit_length() + 63) / 64, 16u);
+  const BigNum base = m / BigNum(3);
+  for (uint64_t e : {1ull, 2ull, 3ull, 31ull, 32ull, 0x1234567ull}) {
+    EXPECT_EQ(base.modexp(BigNum(e), m), reference_modexp(base, BigNum(e), m))
+        << e;
+  }
+  const FixedBaseTable table(base, m, 64, 4, 2);
+  EXPECT_EQ(table.pow(BigNum(0x1234567)), BigNum());
 }
 
 // ---------------------------------------------------------------------------
@@ -369,6 +428,103 @@ TEST(BigNumMontgomery, PortableSquaringMatchesProduct) {
 TEST(BigNumMontgomery, AdxSquaringMatchesProduct) {
   if (!kernels::cpu_has_adx()) GTEST_SKIP() << "CPU lacks adx/bmi2";
   expect_squaring_matches_product(kernels::mont_sqr_adx, "adx");
+}
+
+// ---------------------------------------------------------------------------
+// The IFMA kernel vs the exact almost-Montgomery product.
+// ---------------------------------------------------------------------------
+
+constexpr size_t kLimbs = kernels::kIfmaLimbs;
+constexpr uint64_t kLimbMask = (uint64_t{1} << 52) - 1;
+
+// x as kLimbs 52-bit limbs, and back (limbs may be wider on the way back).
+std::vector<uint64_t> to_limbs52(const BigNum& x) {
+  std::vector<uint64_t> w(kLimbs, 0);
+  for (size_t i = 0; i < 52 * kLimbs; ++i)
+    if (x.bit(i)) w[i / 52] |= uint64_t{1} << (i % 52);
+  return w;
+}
+
+BigNum from_limbs52(const uint64_t* w) {
+  BigNum x;
+  for (size_t k = kLimbs; k-- > 0;) x = x.shifted_left(52) + BigNum(w[k]);
+  return x;
+}
+
+// m^-1 mod 2^bits for odd m, by Newton's iteration on BigNum.
+BigNum inverse_mod_pow2(const BigNum& m, size_t bits) {
+  const BigNum r = BigNum(1).shifted_left(bits);
+  BigNum x(1);
+  for (size_t good = 1; good < bits; good *= 2)
+    x = (x * ((BigNum(2) + r - (m * x) % r) % r)) % r;
+  EXPECT_EQ((m * x) % r, BigNum(1));
+  return x;
+}
+
+TEST(BigNumMontgomery, IfmaKernelMatchesReference) {
+  if (!kernels::cpu_has_ifma())
+    GTEST_SKIP() << "CPU lacks "
+                 << (__builtin_cpu_supports("avx512ifma") ? "avx512vl"
+                                                          : "avx512ifma");
+  Drbg rng(to_bytes("ifma-kernel"));
+  const size_t r_bits = 52 * kLimbs;
+  const BigNum r = BigNum(1).shifted_left(r_bits);
+  std::vector<BigNum> moduli = kernel_moduli(rng, kernels::kIfmaWords);
+  moduli.push_back(DhGroup::oakley2().p);
+  for (const BigNum& mod : moduli) {
+    ASSERT_TRUE(mod.is_odd());
+    const std::vector<uint64_t> m = to_limbs52(mod);
+    const BigNum m_inv = inverse_mod_pow2(mod, r_bits);
+    const uint64_t m_inv52 = to_limbs52(r - m_inv)[0];  // -m^-1 mod 2^52
+    // The exact output: (a b + q m) / R with q = -a b m^-1 mod R.
+    auto expected = [&](const BigNum& x, const BigNum& y) {
+      const BigNum ab = x * y;
+      const BigNum q = ((r - ab % r) * m_inv) % r;
+      return (ab + q * mod) / r;
+    };
+    // Below m: 0, 1, m - 1 and three random; in [m, 2m): m, a random one
+    // and 2m - 1.
+    std::vector<BigNum> operands =
+        kernel_operands(rng, kernels::kIfmaWords, mod);
+    operands.push_back(mod);
+    operands.push_back(mod + random_bits(rng, 64 * kernels::kIfmaWords) % mod);
+    operands.push_back(mod + mod - BigNum(1));
+    for (const BigNum& x : operands) {
+      for (const BigNum& y : operands) {
+        CanaryBuffers buf(kLimbs);
+        const auto xw = to_limbs52(x), yw = to_limbs52(y);
+        std::copy(xw.begin(), xw.end(), buf.a());
+        std::copy(yw.begin(), yw.end(), buf.b());
+        std::copy(m.begin(), m.end(), buf.m());
+        std::fill_n(buf.out(), kLimbs, ~0ull);  // stale output
+        kernels::mont_mul_ifma(buf.out(), buf.a(), buf.b(), buf.m(), m_inv52);
+        ASSERT_TRUE(buf.canaries_intact())
+            << "m " << hex_encode(mod.to_bytes());
+        for (size_t k = 0; k < kLimbs; ++k)
+          ASSERT_LE(buf.out()[k], kLimbMask) << "limb " << k;
+        const BigNum out = from_limbs52(buf.out());
+        ASSERT_EQ(out, expected(x, y))
+            << "m " << hex_encode(mod.to_bytes()) << " a "
+            << hex_encode(x.to_bytes()) << " b " << hex_encode(y.to_bytes());
+        ASSERT_TRUE(out < mod + mod);
+        ASSERT_EQ((out * (r % mod)) % mod, (x * y) % mod);
+      }
+    }
+    // The output may alias either operand, or both.
+    const auto xw = to_limbs52(operands[3]), yw = to_limbs52(operands[7]);
+    const BigNum want = expected(operands[3], operands[7]);
+    std::vector<uint64_t> in_a = xw, in_b = yw, both = xw;
+    kernels::mont_mul_ifma(in_a.data(), in_a.data(), yw.data(), m.data(),
+                           m_inv52);
+    kernels::mont_mul_ifma(in_b.data(), xw.data(), in_b.data(), m.data(),
+                           m_inv52);
+    kernels::mont_mul_ifma(both.data(), both.data(), both.data(), m.data(),
+                           m_inv52);
+    EXPECT_EQ(from_limbs52(in_a.data()), want) << "out aliases a";
+    EXPECT_EQ(from_limbs52(in_b.data()), want) << "out aliases b";
+    EXPECT_EQ(from_limbs52(both.data()), expected(operands[3], operands[3]))
+        << "out aliases a and b";
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ int main() {
       hv::MigrationParams params;
       params.post_copy = std::string_view(mode) == "postcopy";
       params.hybrid = std::string_view(mode) == "hybrid";
-      hv::LiveMigrationEngine engine(world.cost(), params);
+      hv::LiveMigrationEngine engine(params);
       Result<hv::MigrationReport> report = Error(ErrorCode::kInternal, "x");
       world.executor().spawn("src", [&](sim::ThreadCtx& c) {
         report = engine.migrate_source(c, src, channel->a());

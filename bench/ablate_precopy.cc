@@ -22,7 +22,7 @@ int main() {
     hv::Vm src(hv::VmConfig{}, dm);
     hv::Vm dst(hv::VmConfig{}, dm);
     hv::MigrationParams params;
-    hv::LiveMigrationEngine engine(world.cost(), params);
+    hv::LiveMigrationEngine engine(params);
     Result<hv::MigrationReport> report = Error(ErrorCode::kInternal, "x");
     world.executor().spawn("src", [&](sim::ThreadCtx& c) {
       report = engine.migrate_source(c, src, channel->a());

@@ -19,7 +19,7 @@ mig::hv::MigrationReport run_plain() {
   auto channel = world.make_channel();
   hv::Vm vm(hv::VmConfig{}, hv::DirtyModel{});
   hv::Vm dst(hv::VmConfig{}, hv::DirtyModel{});
-  hv::LiveMigrationEngine engine(world.cost(), hv::MigrationParams{});
+  hv::LiveMigrationEngine engine(hv::MigrationParams{});
   Result<hv::MigrationReport> report = Error(ErrorCode::kInternal, "unset");
   world.executor().spawn("src", [&](sim::ThreadCtx& c) {
     report = engine.migrate_source(c, vm, channel->a());

@@ -18,7 +18,7 @@ class MaliciousGuestOs : public guestos::GuestOs {
 
   Status stop_other_threads(sim::ThreadCtx& ctx, guestos::Process& process,
                             sim::ThreadId requester) override {
-    ctx.work_atomic(cost().syscall_ns);
+    ctx.work_atomic(ctx.cost().syscall_ns);
     (void)process;
     (void)requester;
     ++lies_told_;

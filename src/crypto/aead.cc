@@ -6,7 +6,6 @@
 #include "crypto/ciphers.h"
 #include "crypto/hmac.h"
 #include "crypto/sha256.h"
-#include "sim/cost_model.h"
 #include "util/check.h"
 #include "util/serde.h"
 
@@ -97,8 +96,8 @@ const char* cipher_name(CipherAlg alg) {
   return "?";
 }
 
-uint64_t cipher_cost_ns(CipherAlg alg, size_t bytes) {
-  const sim::CostModel& cm = sim::default_cost_model();
+uint64_t cipher_cost_ns(const sim::CostModel& cm, CipherAlg alg,
+                        size_t bytes) {
   switch (alg) {
     case CipherAlg::kRc4: return cm.rc4_ns_per_byte * bytes;
     case CipherAlg::kDesCbc: return cm.des_ns_per_byte * bytes;

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "crypto/sha256.h"
+#include "sim/cost_model.h"
 #include "util/bytes.h"
 #include "util/status.h"
 
@@ -30,10 +31,10 @@ enum class CipherAlg : uint8_t {
 
 const char* cipher_name(CipherAlg alg);
 
-// Virtual-time cost (ns) of sealing/opening `bytes` with `alg`, per the cost
-// model. Kept next to the ciphers so the figure benches and the migration
-// path charge identical prices.
-uint64_t cipher_cost_ns(CipherAlg alg, size_t bytes);
+// Virtual-time cost (ns) of sealing/opening `bytes` with `alg` at `cm`'s
+// prices (the charging thread's ctx.cost()). Kept next to the ciphers so the
+// figure benches and the migration path charge identical prices.
+uint64_t cipher_cost_ns(const sim::CostModel& cm, CipherAlg alg, size_t bytes);
 
 // Seals `plaintext` under a 32-byte master key. Layout:
 //   u8 alg | u32 len | cipher( plaintext || sha256(plaintext) ) | hmac-tag(32)

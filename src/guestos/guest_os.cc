@@ -30,7 +30,7 @@ Process& GuestOs::create_process(std::string name) {
 Result<sgx::EnclaveId> GuestOs::create_enclave(sim::ThreadCtx& ctx,
                                                Process& process,
                                                const sgx::EnclaveImage& image) {
-  ctx.work_atomic(cost().syscall_ns);
+  ctx.work_atomic(ctx.cost().syscall_ns);
   if (migration_in_progress_)
     return Error(ErrorCode::kUnavailable,
                  "enclave creation refused: migration in progress");
@@ -41,7 +41,7 @@ Result<sgx::EnclaveId> GuestOs::create_enclave(sim::ThreadCtx& ctx,
 
 Status GuestOs::destroy_enclave(sim::ThreadCtx& ctx, Process& process,
                                 sgx::EnclaveId eid) {
-  ctx.work_atomic(cost().syscall_ns);
+  ctx.work_atomic(ctx.cost().syscall_ns);
   MIG_RETURN_IF_ERROR(driver_->destroy_enclave(ctx, eid));
   if (process.enclave_count > 0) process.enclave_count -= 1;
   return OkStatus();
@@ -55,10 +55,10 @@ void GuestOs::crash_enclave(sim::ThreadCtx& ctx, Process& process,
 
 Status GuestOs::stop_other_threads(sim::ThreadCtx& ctx, Process& process,
                                    sim::ThreadId requester) {
-  ctx.work_atomic(cost().syscall_ns);
+  ctx.work_atomic(ctx.cost().syscall_ns);
   for (sim::ThreadId id : process.threads()) {
     if (id == requester || executor().finished(id)) continue;
-    ctx.work_atomic(cost().context_switch_ns);
+    ctx.work_atomic(ctx.cost().context_switch_ns);
     executor().suspend(id);
   }
   return OkStatus();
@@ -66,10 +66,10 @@ Status GuestOs::stop_other_threads(sim::ThreadCtx& ctx, Process& process,
 
 void GuestOs::resume_other_threads(sim::ThreadCtx& ctx, Process& process,
                                    sim::ThreadId requester) {
-  ctx.work_atomic(cost().syscall_ns);
+  ctx.work_atomic(ctx.cost().syscall_ns);
   for (sim::ThreadId id : process.threads()) {
     if (id == requester || executor().finished(id)) continue;
-    ctx.work_atomic(cost().thread_wakeup_ns);
+    ctx.work_atomic(ctx.cost().thread_wakeup_ns);
     executor().resume(id, ctx.now());
   }
 }
@@ -78,7 +78,7 @@ Result<uint64_t> GuestOs::prepare_enclaves_for_migration(sim::ThreadCtx& ctx) {
   // Step 2: upcall received. Step 3: refuse new enclaves, signal each
   // enclave process; its SGX library's handler drives the control threads
   // (steps 4-5). Step 6 completes when every process reports ready.
-  ctx.work_atomic(cost().upcall_interrupt_ns);
+  ctx.work_atomic(ctx.cost().upcall_interrupt_ns);
   migration_in_progress_ = true;
 
   struct Pending {
@@ -92,10 +92,10 @@ Result<uint64_t> GuestOs::prepare_enclaves_for_migration(sim::ThreadCtx& ctx) {
     auto p = std::make_unique<Pending>(executor());
     Pending* pp = p.get();
     Process* process = proc.get();
-    ctx.work_atomic(cost().signal_deliver_ns);
+    ctx.work_atomic(ctx.cost().signal_deliver_ns);
     // The signal handler runs on a thread of the target process.
     process->spawn_thread("sigusr1", [this, pp, process](sim::ThreadCtx& c) {
-      c.work_atomic(cost().context_switch_ns);
+      c.work_atomic(c.cost().context_switch_ns);
       pp->bytes = process->prepare_(c);
       pp->done.set(c);
     });
@@ -108,7 +108,7 @@ Result<uint64_t> GuestOs::prepare_enclaves_for_migration(sim::ThreadCtx& ctx) {
     total_bytes += *p->bytes;
   }
   // Step 6-7: tell the hypervisor we are ready (hypercall).
-  ctx.work_atomic(cost().hypercall_ns);
+  ctx.work_atomic(ctx.cost().hypercall_ns);
   return total_bytes;
 }
 
@@ -156,7 +156,7 @@ Result<uint64_t> GuestOs::enclave_delta_round(sim::ThreadCtx& ctx) {
 }
 
 Status GuestOs::cancel_enclave_migration(sim::ThreadCtx& ctx) {
-  ctx.work_atomic(cost().upcall_interrupt_ns);
+  ctx.work_atomic(ctx.cost().upcall_interrupt_ns);
   // Migration is off: allow enclave creation again and forget the pending
   // re-attach (the VM stays on this machine).
   migration_in_progress_ = false;

@@ -106,7 +106,6 @@ class GuestOs : public hv::GuestHooks {
   hv::Machine& machine() { return *machine_; }
   hv::Vm& vm() { return *vm_; }
   sim::Executor& executor() { return machine_->executor(); }
-  const sim::CostModel& cost() const { return machine_->cost(); }
 
   // ioctl path used by the SGX library; refused during migration (§VI-D:
   // "it will refuse to create any new enclaves till the end of migration").

@@ -109,12 +109,15 @@ constexpr uint64_t kRestoreTimeoutNs = 120'000'000'000;  // 120 s
 // before it may flip.
 constexpr uint64_t kPostcopyMinRounds = 2;
 
-}  // namespace
-
-uint64_t LiveMigrationEngine::wire_ns(uint64_t bytes) const {
-  return sim::per_byte_x100(cost_->net_ns_per_byte_x100, bytes) +
-         cost_->net_latency_ns;
+// One-way wire time of a burst: transmission at the modeled link rate plus
+// propagation. Ack deadlines derive from this so failure detection scales
+// with the burst actually sent.
+uint64_t wire_ns(const sim::CostModel& cost, uint64_t bytes) {
+  return sim::per_byte_x100(cost.net_ns_per_byte_x100, bytes) +
+         cost.net_latency_ns;
 }
+
+}  // namespace
 
 void LiveMigrationEngine::abort_source(sim::ThreadCtx& ctx, Vm& vm,
                                        sim::Channel::End& link,
@@ -127,7 +130,8 @@ void LiveMigrationEngine::abort_source(sim::ThreadCtx& ctx, Vm& vm,
   // Best effort: a severed link simply drops this.
   link.send(ctx, msg(Tag::kAbort));
   if (vm_stopped) {
-    ctx.work_atomic(cost_->vm_stop_resume_ns / 2);  // unpause + device restore
+    // Unpause + device restore.
+    ctx.work_atomic(ctx.cost().vm_stop_resume_ns / 2);
     vm.set_running(true);
   }
   if (vm.hooks() != nullptr) {
@@ -142,7 +146,7 @@ Result<MigrationReport> LiveMigrationEngine::migrate_source(
   MigrationReport report;
   obs::Span<sim::ThreadCtx> whole(ctx, "migrate_source", "hv",
                                   {{"used_pages", vm.used_pages()}});
-  const uint64_t page = cost_->page_size;
+  const uint64_t page = ctx.cost().page_size;
   uint64_t start = ctx.now();
   uint64_t dirty = vm.used_pages();  // round 0 sends everything in use
 
@@ -170,8 +174,8 @@ Result<MigrationReport> LiveMigrationEngine::migrate_source(
     for (uint64_t attempt = 0;; ++attempt) {
       link.send_sized(ctx, msg(Tag::kRound, pages, extra), bytes);
       report.transferred_bytes += bytes;
-      Result<Parsed> p =
-          recv_parsed(ctx.now() + 2 * wire_ns(bytes) + kAckGraceNs);
+      Result<Parsed> p = recv_parsed(
+          ctx.now() + 2 * wire_ns(ctx.cost(), bytes) + kAckGraceNs);
       if (p.ok()) {
         if (p->tag == Tag::kRoundAck) return OkStatus();
         if (p->tag == Tag::kAbort)
@@ -234,7 +238,7 @@ Result<MigrationReport> LiveMigrationEngine::migrate_source(
       // Dirty-bitmap scan + queueing, charged inside the round's span.
       Status st = send_round_acked(
           dirty, delta_pending,
-          cost_->precopy_scan_ns_per_page * vm.used_pages() / 64);
+          ctx.cost().precopy_scan_ns_per_page * vm.used_pages() / 64);
       if (!st.ok()) {
         abort_source(ctx, vm, link, /*vm_stopped=*/false);
         return st;
@@ -376,7 +380,7 @@ Result<MigrationReport> LiveMigrationEngine::migrate_source(
       ctx, "stop_and_copy", "hv",
       {{"pages", dirty}, {"record_bytes", record_bytes}, {"flip", flip}});
   vm.set_running(false);
-  ctx.work_atomic(cost_->vm_stop_resume_ns / 2);  // pause + device save
+  ctx.work_atomic(ctx.cost().vm_stop_resume_ns / 2);  // pause + device save
   // Downtime-window boundary for the attribution analyzer: device state is
   // saved, the final wire copy starts now.
   obs::instant(ctx, "stop.device_saved", "hv");
@@ -399,7 +403,8 @@ Result<MigrationReport> LiveMigrationEngine::migrate_source(
 
   Result<Parsed> p = Error(ErrorCode::kInternal, "unset");
   for (;;) {
-    p = recv_parsed(ctx.now() + 2 * wire_ns(final_bytes) + kAckGraceNs);
+    p = recv_parsed(ctx.now() + 2 * wire_ns(ctx.cost(), final_bytes) +
+                    kAckGraceNs);
     // A retransmitted round earns a duplicate ack; drain stale kRoundAcks
     // rather than mistaking them for a protocol violation.
     if (p.ok() && p->tag == Tag::kRoundAck) continue;
@@ -559,7 +564,7 @@ Result<MigrationReport> LiveMigrationEngine::migrate_target(
     // remains of the downtime is target-side device restore.
     obs::instant(ctx, "stop.final_received", "hv",
                  {{"flip", p->tag == Tag::kFlip}});
-    ctx.work_atomic(cost_->vm_stop_resume_ns / 2);
+    ctx.work_atomic(ctx.cost().vm_stop_resume_ns / 2);
     vm.set_running(true);
     uint64_t resume_time = ctx.now();
     link.send(ctx, msg(Tag::kResumeAck, resume_time));

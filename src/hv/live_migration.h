@@ -110,8 +110,7 @@ struct MigrationReport {
 // the engine owns the protocol.
 class LiveMigrationEngine {
  public:
-  LiveMigrationEngine(const sim::CostModel& cost, MigrationParams params)
-      : cost_(&cost), params_(params) {}
+  explicit LiveMigrationEngine(MigrationParams params) : params_(params) {}
 
   // Source side: drives pre-copy of `vm` through `link`. Blocks (in virtual
   // time) until the target acknowledges resume. The guest hooks, if present,
@@ -125,18 +124,12 @@ class LiveMigrationEngine {
                                          sim::Channel::End link);
 
  private:
-  // One-way wire time of a burst: transmission at the modeled link rate plus
-  // propagation. Ack deadlines derive from this so failure detection scales
-  // with the burst actually sent.
-  uint64_t wire_ns(uint64_t bytes) const;
-
   // Best-effort cleanup when the source half fails before the VM has
   // committed to the target: notify the target, resume the VM if stopped,
   // and let the guest cancel its enclave-migration state (§V-B).
   void abort_source(sim::ThreadCtx& ctx, Vm& vm, sim::Channel::End& link,
                     bool vm_stopped);
 
-  const sim::CostModel* cost_;
   MigrationParams params_;
 };
 

@@ -2,16 +2,14 @@
 
 namespace mig::hv {
 
-Machine::Machine(sim::Executor& exec, const sim::CostModel& cost,
-                 crypto::Drbg rng, sgx::HardwareConfig hw_config)
+Machine::Machine(sim::Executor& exec, crypto::Drbg rng,
+                 sgx::HardwareConfig hw_config)
     : exec_(&exec),
-      cost_(&cost),
-      hw_(exec, cost, rng.fork(to_bytes("hw")), std::move(hw_config)),
+      hw_(exec, rng.fork(to_bytes("hw")), std::move(hw_config)),
       qe_(hw_, rng.fork(to_bytes("qe"))) {}
 
 World::World(int cpus_per_machine, uint64_t seed, const sim::CostModel& cost)
-    : cost_(&cost),
-      exec_(cpus_per_machine),
+    : exec_(cpus_per_machine, sim::Executor::kDefaultQuantumNs, cost),
       rng_([&] {
         Bytes s(8);
         for (int i = 0; i < 8; ++i) s[i] = static_cast<uint8_t>(seed >> (8 * i));
@@ -26,7 +24,7 @@ Machine& World::add_machine(const std::string& name, uint64_t epc_pages,
   config.epc_pages = epc_pages;
   config.migration_ext = migration_ext;
   machines_.push_back(std::make_unique<Machine>(
-      exec_, *cost_, rng_.fork(to_bytes(name)), std::move(config)));
+      exec_, rng_.fork(to_bytes(name)), std::move(config)));
   Machine& m = *machines_.back();
   ias_.register_platform(m.name(), m.qe().platform_pk());
   return m;

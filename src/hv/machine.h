@@ -1,9 +1,10 @@
 // Physical-machine and world aggregates.
 //
-// A World is one simulated universe: the executor (virtual time), the cost
-// model, the attestation service, and the physical machines. A Machine is
-// one SGX-capable host: its hardware engine and quoting enclave. The paper's
-// testbed is a World with two Machines connected by a Channel.
+// A World is one simulated universe: the executor (virtual time and the
+// cost model it charges), the attestation service, and the physical
+// machines. A Machine is one SGX-capable host: its hardware engine and
+// quoting enclave. The paper's testbed is a World with two Machines
+// connected by a Channel.
 #pragma once
 
 #include <functional>
@@ -22,24 +23,22 @@ namespace mig::hv {
 
 class Machine {
  public:
-  Machine(sim::Executor& exec, const sim::CostModel& cost, crypto::Drbg rng,
-          sgx::HardwareConfig hw_config);
+  Machine(sim::Executor& exec, crypto::Drbg rng, sgx::HardwareConfig hw_config);
 
   const std::string& name() const { return hw_.config().machine_name; }
   sgx::SgxHardware& hw() { return hw_; }
   sgx::QuotingEnclave& qe() { return qe_; }
-  const sim::CostModel& cost() const { return *cost_; }
   sim::Executor& executor() { return *exec_; }
 
  private:
   sim::Executor* exec_;
-  const sim::CostModel* cost_;
   sgx::SgxHardware hw_;
   sgx::QuotingEnclave qe_;
 };
 
 class World {
  public:
+  // The executor keeps a copy of `cost`: every charge in this World reads it.
   explicit World(int cpus_per_machine = 4, uint64_t seed = 0x5109,
                  const sim::CostModel& cost = sim::default_cost_model());
 
@@ -50,7 +49,7 @@ class World {
 
   // A LAN channel between two machines (the migration link).
   std::unique_ptr<sim::Channel> make_channel() {
-    auto ch = std::make_unique<sim::Channel>(exec_, *cost_);
+    auto ch = std::make_unique<sim::Channel>(exec_);
     if (channel_interceptor_) channel_interceptor_(*ch);
     return ch;
   }
@@ -65,13 +64,12 @@ class World {
 
   sim::Executor& executor() { return exec_; }
   sgx::AttestationService& ias() { return ias_; }
-  const sim::CostModel& cost() const { return *cost_; }
+  const sim::CostModel& cost() const { return exec_.cost(); }
   crypto::Drbg fork_rng(std::string_view label) {
     return rng_.fork(to_bytes(label));
   }
 
  private:
-  const sim::CostModel* cost_;
   sim::Executor exec_;
   crypto::Drbg rng_;
   sgx::AttestationService ias_;

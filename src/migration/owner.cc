@@ -64,8 +64,7 @@ void EnclaveOwner::serve_one(sim::ThreadCtx& ctx, sim::Channel::End end) {
   audit_.push_back(AuditEntry{verb, verdict->mrenclave, ctx.now()});
   obs::instant(ctx, "owner.granted", "migration", {{"verb", verb}});
 
-  ctx.work(sim::default_cost_model().dh_keygen_ns +
-           sim::default_cost_model().dh_shared_ns);
+  ctx.work(ctx.cost().dh_keygen_ns + ctx.cost().dh_shared_ns);
   crypto::DhKeyPair kp = crypto::dh_generate(rng_);
   auto session =
       crypto::dh_session_key("owner-channel", kp.priv, dh_pub_e, dh_pub_e);

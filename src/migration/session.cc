@@ -786,7 +786,7 @@ Result<hv::MigrationReport> VmMigrationSession::run(sim::ThreadCtx& ctx) {
       if (user_stop_end) user_stop_end(c);
     };
   }
-  hv::LiveMigrationEngine engine(world_->cost(), params);
+  hv::LiveMigrationEngine engine(params);
 
   struct TargetOutcome {
     sim::Event done;

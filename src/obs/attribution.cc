@@ -76,7 +76,8 @@ void append_phases(std::string& out, const char* key,
   for (const AttributionPhase& p : v) {
     if (!first) out += ',';
     first = false;
-    out += "\"" + json_escape(p.name) + "\":" + std::to_string(p.ns);
+    out.append("\"").append(json_escape(p.name)).append("\":");
+    out += std::to_string(p.ns);
   }
   out += "}";
 }

@@ -103,7 +103,8 @@ std::string MetricsRegistry::json() const {
       if (h.buckets[i] == 0) continue;
       if (!bfirst) out += ",";
       bfirst = false;
-      out += "\"" + std::to_string(i) + "\":" + std::to_string(h.buckets[i]);
+      out.append("\"").append(std::to_string(i)).append("\":");
+      out += std::to_string(h.buckets[i]);
     }
     out += "}}";
   }

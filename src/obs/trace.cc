@@ -136,9 +136,9 @@ void append_args(std::string& out, const Args& args) {
   out += "{";
   for (size_t i = 0; i < args.size(); ++i) {
     if (i > 0) out += ",";
-    out += "\"" + json_escape(args[i].key) + "\":";
+    out.append("\"").append(json_escape(args[i].key)).append("\":");
     if (args[i].is_str) {
-      out += "\"" + json_escape(args[i].str) + "\"";
+      out.append("\"").append(json_escape(args[i].str)).append("\"");
     } else {
       out += std::to_string(args[i].u64);
     }

@@ -44,8 +44,7 @@ QuorumCounterService::QuorumCounterService(sim::Executor& exec,
     uint64_t id = i + 1;
     replicas_.push_back(std::make_unique<CounterReplica>(
         id, kroot, ias, rng.fork(to_bytes("qrm-replica-" + std::to_string(id)))));
-    links_.push_back(
-        std::make_unique<sim::Channel>(exec, sim::default_cost_model()));
+    links_.push_back(std::make_unique<sim::Channel>(exec));
   }
   obs::metrics().set_gauge("quorum.replicas", n);
   for (size_t i = 0; i < replicas_.size(); ++i) {

@@ -191,8 +191,7 @@ void CounterReplica::handle_commit(sim::ThreadCtx& ctx,
   // Key exchange + signature, mirroring the single signer: the key is
   // sealed to the requester's fresh DH value, and the signed transcript
   // includes that DH value so the record can never be replayed.
-  ctx.work(sim::default_cost_model().dh_keygen_ns +
-           sim::default_cost_model().dh_shared_ns);
+  ctx.work(ctx.cost().dh_keygen_ns + ctx.cost().dh_shared_ns);
   crypto::DhKeyPair kp = crypto::dh_generate(rng_);
   auto session = crypto::dh_session_key("qrm-channel", kp.priv,
                                         staged.dh_pub_e, staged.dh_pub_e);
@@ -212,7 +211,7 @@ void CounterReplica::handle_commit(sim::ThreadCtx& ctx,
                     : crypto::seal(crypto::CipherAlg::kChaCha20, *session,
                                    out.key);
 
-  ctx.work(sim::default_cost_model().sig_sign_ns);
+  ctx.work(ctx.cost().sig_sign_ns);
   Bytes sig = crypto::sig_sign(
       sig_.sk,
       sdk::quorum_reply_transcript(staged.verb, staged.dh_pub_e, rec), rng_);

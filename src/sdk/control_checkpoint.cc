@@ -162,7 +162,7 @@ Bytes checkpoint_plaintext(ControlCore& c, const Checkpoint& ckpt,
 // Legacy v1: one seal() over the whole plaintext, serial on this thread.
 Bytes seal_plain_v1(ControlCore& c, ByteSpan plain, ByteSpan key,
                     crypto::CipherAlg alg) {
-  c.env.work(crypto::cipher_cost_ns(alg, plain.size()));
+  c.env.work(crypto::cipher_cost_ns(c.env.cost(), alg, plain.size()));
   c.env.work(sim::per_byte_x100(c.env.cost().sha256_ns_per_byte_x100,
                                 plain.size()));
   return crypto::seal(alg, key, plain);
@@ -255,12 +255,11 @@ Bytes seal_plain_chunked(ControlCore& c, Bytes plain_in, ByteSpan key,
   }
 
   const crypto::CipherAlg alg = cmd.cipher;
-  const sim::CostModel* cm = &cost;
   for (uint64_t wi = 0; wi < workers; ++wi) {
     c.env.work(cost.seal_worker_spawn_ns);
     c.env.ctx().executor().spawn(
         "seal-w" + std::to_string(wi),
-        [p, alg, cm, wi, done_slots](sim::ThreadCtx& tc) {
+        [p, alg, wi, done_slots](sim::ThreadCtx& tc) {
           obs::Span<sim::ThreadCtx> span(tc, "pipeline.seal_worker", "sdk");
           std::deque<Claim>& todo = p->todo[wi];
           std::deque<SealedRun>& done = p->done[wi];
@@ -280,7 +279,7 @@ Bytes seal_plain_chunked(ControlCore& c, Bytes plain_in, ByteSpan key,
             uint64_t t0 = tc.now();
             // Cipher/key setup is paid once per batch — the point of
             // batching — while the per-byte crypto cost is untouched.
-            tc.work(cm->chunk_setup_ns);
+            tc.work(tc.cost().chunk_setup_ns);
             auto sealed = p->sealer.seal_batch(cl.first, spans);
             MIG_CHECK(sealed.ok());  // claims cover disjoint index runs
             // Chunks finish — and stream onward — one by one as their
@@ -288,8 +287,8 @@ Bytes seal_plain_chunked(ControlCore& c, Bytes plain_in, ByteSpan key,
             // not hold chunk k hostage to the rest of its batch (coarse
             // hand-off granularity would bubble the wire).
             for (uint64_t k = 0; k < cl.count; ++k) {
-              tc.work(crypto::cipher_cost_ns(alg, spans[k].size()) +
-                      sim::per_byte_x100(cm->sha256_ns_per_byte_x100,
+              tc.work(crypto::cipher_cost_ns(tc.cost(), alg, spans[k].size()) +
+                      sim::per_byte_x100(tc.cost().sha256_ns_per_byte_x100,
                                          spans[k].size()));
               while (done.size() >= done_slots) {
                 p->drained_ev.reset();
@@ -418,7 +417,8 @@ Result<Bytes> open_chunked(ControlCore& c, ByteSpan blob, ByteSpan key) {
   Bytes plain;
   for (uint64_t i = 0; i < pc.sealed_chunks.size(); ++i) {
     const Bytes& sc = pc.sealed_chunks[i];
-    c.env.work(cost.chunk_setup_ns + crypto::cipher_cost_ns(pc.header.alg, sc.size()) +
+    c.env.work(cost.chunk_setup_ns +
+               crypto::cipher_cost_ns(cost, pc.header.alg, sc.size()) +
                sim::per_byte_x100(cost.sha256_ns_per_byte_x100, sc.size()));
     Result<Bytes> chunk = opener.open_chunk(i, sc);
     if (!chunk.ok())
@@ -451,7 +451,8 @@ ControlReply restore_with_key(ControlCore& c, ControlCmd& cmd, ByteSpan key) {
     if (is_chunked_checkpoint(cmd.blob)) {
       plain = open_chunked(c, cmd.blob, key);
     } else {
-      c.env.work(crypto::cipher_cost_ns(cmd.cipher, cmd.blob.size()));
+      c.env.work(crypto::cipher_cost_ns(c.env.cost(), cmd.cipher,
+                                        cmd.blob.size()));
       plain = crypto::open(key, cmd.blob);
     }
     if (!plain.ok())

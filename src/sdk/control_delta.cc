@@ -139,7 +139,7 @@ Result<Bytes> dump_delta_segment(ControlCore& c, ControlCmd& cmd,
       if (remote_out != nullptr) (*remote_out)[page] = version;
     } else {
       rec.kind = DeltaRecordKind::kData;
-      c.env.work(crypto::cipher_cost_ns(cmd.cipher, content.size()));
+      c.env.work(crypto::cipher_cost_ns(cost, cmd.cipher, content.size()));
       rec.payload = crypto::seal(
           cmd.cipher, crypto::delta_page_key(kmigrate, page, version),
           content);
@@ -157,7 +157,7 @@ Result<Bytes> dump_delta_segment(ControlCore& c, ControlCmd& cmd,
     Writer tw;
     write_workers(tw, c.capture_workers(/*charge_dump=*/true));
     Bytes workers_blob = tw.take();
-    c.env.work(crypto::cipher_cost_ns(cmd.cipher, workers_blob.size()) +
+    c.env.work(crypto::cipher_cost_ns(cost, cmd.cipher, workers_blob.size()) +
                sim::per_byte_x100(cost.sha256_ns_per_byte_x100,
                                   workers_blob.size()));
     seg.trailer = crypto::seal(cmd.cipher,
@@ -313,7 +313,8 @@ Result<Checkpoint> open_delta(
       crypto::Digest h{};
       switch (rec.kind) {
         case DeltaRecordKind::kData: {
-          c.env.work(crypto::cipher_cost_ns(seg->alg, rec.payload.size()) +
+          c.env.work(crypto::cipher_cost_ns(cost, seg->alg,
+                                            rec.payload.size()) +
                      sim::per_byte_x100(cost.sha256_ns_per_byte_x100,
                                         rec.payload.size()));
           auto opened = crypto::open(
@@ -384,7 +385,7 @@ Result<Checkpoint> open_delta(
   if (sealed_trailer.empty())
     return Error(ErrorCode::kIntegrityViolation,
                  "delta checkpoint: final segment carries no thread state");
-  c.env.work(crypto::cipher_cost_ns(crypto::CipherAlg::kChaCha20,
+  c.env.work(crypto::cipher_cost_ns(cost, crypto::CipherAlg::kChaCha20,
                                     sealed_trailer.size()));
   MIG_ASSIGN_OR_RETURN(
       Bytes workers_blob,
@@ -461,7 +462,7 @@ ControlReply serve_pages(ControlCore& c, ControlCmd& cmd) {
     c.charge_page_dump();
     c.env.work(sim::per_byte_x100(cost.sha256_ns_per_byte_x100,
                                   content.size()) +
-               crypto::cipher_cost_ns(s.pages.cipher, content.size()));
+               crypto::cipher_cost_ns(cost, s.pages.cipher, content.size()));
     crypto::Digest h = crypto::Sha256::hash(content);
     PageReplyRecord rec;
     rec.page = page;
@@ -525,7 +526,7 @@ ControlReply apply_pages(ControlCore& c, ControlCmd& cmd) {
                       std::to_string(rec.version) +
                       ", manifest promised " +
                       std::to_string(pit->second.version));
-    c.env.work(crypto::cipher_cost_ns(cmd.cipher, rec.sealed.size()) +
+    c.env.work(crypto::cipher_cost_ns(cost, cmd.cipher, rec.sealed.size()) +
                sim::per_byte_x100(cost.sha256_ns_per_byte_x100,
                                   rec.sealed.size()));
     auto opened = crypto::open(

@@ -43,10 +43,6 @@ EnclaveEnv::EnclaveEnv(sim::ThreadCtx& ctx, sgx::SgxHardware& hw,
     : ctx_(&ctx), hw_(&hw), core_(&core), eid_(eid), layout_(&layout),
       thread_idx_(thread_idx) {}
 
-const sim::CostModel& EnclaveEnv::cost() const {
-  return sim::default_cost_model();
-}
-
 void EnclaveEnv::work(uint64_t ns) {
   ctx_->work(ns);
   ns_since_aex_ += ns;

@@ -91,7 +91,7 @@ class EnclaveEnv {
   uint64_t thread_idx() const { return thread_idx_; }
   uint64_t tls_off() const { return layout_->tls_offset(thread_idx_); }
   sim::ThreadCtx& ctx() { return *ctx_; }
-  const sim::CostModel& cost() const;
+  const sim::CostModel& cost() const { return ctx_->cost(); }
   sgx::EnclaveId eid() const { return eid_; }
 
   // Timer-tick length; cost-model scale (1 ms guest timer).

@@ -64,7 +64,8 @@ class EnclaveProgram {
   std::string identity() const {
     std::string id = name_;
     for (const auto& [num, entry] : ecalls_) {
-      id += "|" + std::to_string(num) + ":" + entry.name;
+      id.append("|").append(std::to_string(num)).append(":");
+      id += entry.name;
     }
     return id;
   }

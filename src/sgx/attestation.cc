@@ -79,7 +79,7 @@ Result<Quote> QuotingEnclave::quote(sim::ThreadCtx& ctx, const Report& report) {
     return Error(ErrorCode::kAuthFailure,
                  "quoting enclave: report MAC invalid (not from this machine "
                  "or not targeted at the QE)");
-  ctx.work_atomic(sim::default_cost_model().sig_sign_ns);
+  ctx.work_atomic(ctx.cost().sig_sign_ns);
   Quote q;
   q.platform = hw_->config().machine_name;
   q.report = report;
@@ -98,8 +98,7 @@ void AttestationService::register_platform(const std::string& name,
 AttestationVerdict AttestationService::verify(sim::ThreadCtx& ctx,
                                               const Quote& quote,
                                               ByteSpan nonce) {
-  const sim::CostModel& cm = sim::default_cost_model();
-  ctx.work_atomic(cm.ias_processing_ns);
+  ctx.work_atomic(ctx.cost().ias_processing_ns);
   AttestationVerdict v;
   v.nonce.assign(nonce.begin(), nonce.end());
   auto it = platforms_.find(quote.platform);
@@ -126,7 +125,7 @@ Result<AttestationVerdict> verify_dh_quote(sim::ThreadCtx& ctx,
                                            ByteSpan dh_pub, crypto::Drbg& rng) {
   auto quote = Quote::deserialize(quote_wire);
   if (!quote.ok()) return Error(ErrorCode::kAuthFailure, "bad quote");
-  ctx.sleep(2 * sim::default_cost_model().wan_latency_ns);
+  ctx.sleep(2 * ctx.cost().wan_latency_ns);
   AttestationVerdict verdict = ias.verify(ctx, *quote, rng.generate(16));
   if (!verdict.ok) return Error(ErrorCode::kAuthFailure, "attestation failed");
   crypto::Digest bind = crypto::Sha256::hash(dh_pub);

@@ -81,7 +81,8 @@ class AttestationService {
   void register_platform(const std::string& name, const crypto::BigNum& pk);
 
   // Verifies a quote and returns a signed verdict binding `nonce`.
-  // Charges the WAN round trip + service processing time.
+  // Charges the service's processing time; the responder's WAN round trip
+  // to the service is verify_dh_quote's.
   AttestationVerdict verify(sim::ThreadCtx& ctx, const Quote& quote,
                             ByteSpan nonce);
 

@@ -26,9 +26,9 @@ Bytes paging_nonce(uint64_t version, uint64_t lin_addr) {
 
 }  // namespace
 
-SgxHardware::SgxHardware(sim::Executor& executor, const sim::CostModel& cost,
-                         crypto::Drbg key_seed, HardwareConfig config)
-    : executor_(&executor), cost_(&cost), config_(std::move(config)) {
+SgxHardware::SgxHardware(sim::Executor& executor, crypto::Drbg key_seed,
+                         HardwareConfig config)
+    : executor_(&executor), config_(std::move(config)) {
   // Slots are appended up to the high-water mark as pages are allocated, so
   // a machine does not zero-fill an EPC it never uses. The reserve means no
   // append moves a slot: an EpcPage& stays valid.
@@ -89,7 +89,7 @@ Result<EnclaveId> SgxHardware::ecreate(sim::ThreadCtx& ctx, uint64_t base,
                                        uint64_t isv_svn) {
   if (size == 0 || size % kPageSize != 0 || base % kPageSize != 0)
     return Error(ErrorCode::kInvalidArgument, "enclave range not page-aligned");
-  ctx.work_atomic(cost_->ecreate_ns);
+  ctx.work_atomic(ctx.cost().ecreate_ns);
   MIG_ASSIGN_OR_RETURN(size_t slot, alloc_slot());
   Enclave& enc = add_enclave(slot);
   enc.secs.base = base;
@@ -122,7 +122,7 @@ Status SgxHardware::eadd(sim::ThreadCtx& ctx, EnclaveId eid, uint64_t lin_addr,
   if (content.size() > kPageSize)
     return Error(ErrorCode::kInvalidArgument, "EADD: content too large");
 
-  ctx.work_atomic(cost_->eadd_ns_per_page);
+  ctx.work_atomic(ctx.cost().eadd_ns_per_page);
   MIG_ASSIGN_OR_RETURN(size_t slot, alloc_slot());
   EpcPage& page = epc_[slot];
   page.type = type;
@@ -166,7 +166,7 @@ Status SgxHardware::eextend(sim::ThreadCtx& ctx, EnclaveId eid,
     return Error(ErrorCode::kFailedPrecondition, "EEXTEND after EINIT");
   size_t slot = slot_of(*enc, lin_addr);
   if (slot == kNotResident) return not_found("EEXTEND: page not present");
-  ctx.work_atomic(cost_->eextend_ns_per_page);
+  ctx.work_atomic(ctx.cost().eextend_ns_per_page);
 
   const EpcPage& page = epc_[slot];
   Bytes content = page.type == PageType::kTcs
@@ -189,7 +189,7 @@ Status SgxHardware::einit(sim::ThreadCtx& ctx, EnclaveId eid,
   if (enc == nullptr) return not_found("EINIT: no such enclave");
   if (enc->secs.initialized)
     return Error(ErrorCode::kFailedPrecondition, "EINIT: already initialized");
-  ctx.work_atomic(cost_->einit_ns);
+  ctx.work_atomic(ctx.cost().einit_ns);
 
   crypto::Sha256 m = enc->secs.measuring;  // copy: measurement is final now
   crypto::Digest mrenclave = m.finish();
@@ -217,7 +217,7 @@ Status SgxHardware::eremove_page(sim::ThreadCtx& ctx, EnclaveId eid,
   const EpcPage& page = epc_[slot];
   if (page.type == PageType::kTcs && page.tcs->busy)
     return Error(ErrorCode::kFailedPrecondition, "EREMOVE: TCS in use");
-  ctx.work_atomic(cost_->eremove_ns_per_page);
+  ctx.work_atomic(ctx.cost().eremove_ns_per_page);
   unmap_page(*enc, lin_addr);
   return OkStatus();
 }
@@ -232,7 +232,7 @@ Status SgxHardware::eremove_enclave(sim::ThreadCtx& ctx, EnclaveId eid) {
       return Error(ErrorCode::kFailedPrecondition,
                    "EREMOVE: enclave has a busy TCS");
   }
-  ctx.work_atomic(cost_->eremove_ns_per_page * (enc->resident + 1));
+  ctx.work_atomic(ctx.cost().eremove_ns_per_page * (enc->resident + 1));
   remove_enclave(*enc);
   return OkStatus();
 }
@@ -243,7 +243,7 @@ void SgxHardware::force_reclaim_enclave(sim::ThreadCtx& ctx, EnclaveId eid) {
   // threads "inside" at the moment of death never run again.
   Enclave* enc = find(eid);
   if (enc == nullptr) return;
-  ctx.work_atomic(cost_->eremove_ns_per_page);
+  ctx.work_atomic(ctx.cost().eremove_ns_per_page);
   remove_enclave(*enc);
 }
 
@@ -257,7 +257,7 @@ void SgxHardware::remove_enclave(Enclave& enc) {
 // ------------------------------------------------------------------ paging
 
 Result<uint64_t> SgxHardware::epa(sim::ThreadCtx& ctx) {
-  ctx.work_atomic(cost_->eadd_ns_per_page);
+  ctx.work_atomic(ctx.cost().eadd_ns_per_page);
   MIG_ASSIGN_OR_RETURN(size_t slot, alloc_slot());
   EpcPage& page = epc_[slot];
   page.type = PageType::kVa;
@@ -327,7 +327,7 @@ Result<EvictedPage> SgxHardware::ewb(sim::ThreadCtx& ctx, EnclaveId eid,
   if (va.va_slots[va_slot] != 0)
     return Error(ErrorCode::kFailedPrecondition, "EWB: VA slot occupied");
 
-  ctx.work_atomic(cost_->ewb_ns_per_page);
+  ctx.work_atomic(ctx.cost().ewb_ns_per_page);
   EvictedPage out;
   out.eid = eid;
   out.lin_addr = lin_addr;
@@ -367,7 +367,7 @@ Status SgxHardware::eldb(sim::ThreadCtx& ctx, const EvictedPage& evicted) {
     return Error(ErrorCode::kIntegrityViolation,
                  "ELDB: MAC mismatch (wrong machine or tampered page)");
 
-  ctx.work_atomic(cost_->eldb_ns_per_page);
+  ctx.work_atomic(ctx.cost().eldb_ns_per_page);
   MIG_ASSIGN_OR_RETURN(size_t slot, alloc_slot());
   EpcPage& page = epc_[slot];
   Bytes payload = evicted.ciphertext;
@@ -414,7 +414,7 @@ Result<uint64_t> SgxHardware::eenter(sim::ThreadCtx& ctx, CoreState& core,
   if (tcs.cssa >= tcs.nssa)
     return Error(ErrorCode::kResourceExhausted, "EENTER: out of SSA frames");
 
-  ctx.work_atomic(cost_->eenter_ns);
+  ctx.work_atomic(ctx.cost().eenter_ns);
   tcs.busy = true;
   core.in_enclave = true;
   core.eid = eid;
@@ -429,7 +429,7 @@ Status SgxHardware::eexit(sim::ThreadCtx& ctx, CoreState& core) {
   MIG_CHECK(enc != nullptr);
   size_t slot = slot_of(*enc, core.tcs_addr);
   MIG_CHECK_MSG(slot != kNotResident, "TCS of running thread evicted");
-  ctx.work_atomic(cost_->eexit_ns);
+  ctx.work_atomic(ctx.cost().eexit_ns);
   epc_[slot].tcs->busy = false;
   core = CoreState{};
   return OkStatus();
@@ -459,7 +459,7 @@ Status SgxHardware::aex(sim::ThreadCtx& ctx, CoreState& core, ByteSpan context) 
   MIG_CHECK(ssa_page.type == PageType::kReg);
   ssa_page.data = std::move(frame);
 
-  ctx.work_atomic(cost_->aex_ns);
+  ctx.work_atomic(ctx.cost().aex_ns);
   tcs.cssa += 1;
   tcs.busy = false;
   core = CoreState{};
@@ -493,7 +493,7 @@ Result<Bytes> SgxHardware::eresume(sim::ThreadCtx& ctx, CoreState& core,
   if (!r.ok())
     return Error(ErrorCode::kIntegrityViolation, "ERESUME: corrupt SSA frame");
 
-  ctx.work_atomic(cost_->eresume_ns);
+  ctx.work_atomic(ctx.cost().eresume_ns);
   tcs.cssa -= 1;
   tcs.busy = true;
   core.in_enclave = true;
@@ -590,7 +590,7 @@ Result<Report> SgxHardware::ereport(sim::ThreadCtx& ctx, const CoreState& core,
     return Error(ErrorCode::kPermissionDenied, "EREPORT outside enclave");
   Enclave* enc = find(core.eid);
   MIG_CHECK(enc != nullptr);
-  ctx.work_atomic(cost_->ereport_ns);
+  ctx.work_atomic(ctx.cost().ereport_ns);
   Report rep;
   rep.mrenclave = enc->secs.mrenclave;
   rep.mrsigner = enc->secs.mrsigner;
@@ -612,7 +612,7 @@ Result<Bytes> SgxHardware::egetkey(sim::ThreadCtx& ctx, const CoreState& core,
     return Error(ErrorCode::kPermissionDenied, "EGETKEY outside enclave");
   Enclave* enc = find(core.eid);
   MIG_CHECK(enc != nullptr);
-  ctx.work_atomic(cost_->egetkey_ns);
+  ctx.work_atomic(ctx.cost().egetkey_ns);
   switch (name) {
     case KeyName::kReport:
       return report_key_for(enc->secs.mrenclave);

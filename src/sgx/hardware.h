@@ -21,7 +21,8 @@
 //    hardware stores it in the thread's current SSA frame *inside the
 //    enclave*, increments the software-invisible CSSA, and scrubs core state
 //    — matching §II-A's description bit for bit at the protocol level.
-//  * All instruction costs come from sim::CostModel.
+//  * All instruction costs come from the executor's sim::CostModel
+//    (ctx.cost()).
 //
 // Access control is enforced at this boundary: non-enclave software reading
 // EPC gets kPermissionDenied (abort-page semantics), an enclave cannot touch
@@ -75,8 +76,8 @@ struct EvictedPage {
 
 class SgxHardware {
  public:
-  SgxHardware(sim::Executor& executor, const sim::CostModel& cost,
-              crypto::Drbg key_seed, HardwareConfig config);
+  SgxHardware(sim::Executor& executor, crypto::Drbg key_seed,
+              HardwareConfig config);
 
   const HardwareConfig& config() const { return config_; }
 
@@ -258,7 +259,6 @@ class SgxHardware {
   crypto::Digest migrated_page_hash(const MigratedPage& page) const;
 
   sim::Executor* executor_;
-  const sim::CostModel* cost_;
   HardwareConfig config_;
 
   // Per-machine secrets (never exposed; fused at "manufacturing").

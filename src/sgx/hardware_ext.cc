@@ -33,7 +33,7 @@ Status SgxHardware::eputkey(sim::ThreadCtx& ctx, ByteSpan enc_key32,
   if (!config_.migration_ext) return ext_disabled();
   if (enc_key32.size() != 32 || mac_key32.size() != 32)
     return Error(ErrorCode::kInvalidArgument, "EPUTKEY: bad key sizes");
-  ctx.work_atomic(cost_->egetkey_ns);
+  ctx.work_atomic(ctx.cost().egetkey_ns);
   migration_enc_key_.assign(enc_key32.begin(), enc_key32.end());
   migration_mac_key_.assign(mac_key32.begin(), mac_key32.end());
   return OkStatus();
@@ -52,7 +52,7 @@ Status SgxHardware::emigrate(sim::ThreadCtx& ctx, EnclaveId eid) {
     if (p.type == PageType::kTcs && p.tcs->busy)
       return Error(ErrorCode::kFailedPrecondition, "EMIGRATE: enclave running");
   }
-  ctx.work_atomic(cost_->ecreate_ns);
+  ctx.work_atomic(ctx.cost().ecreate_ns);
   enc->migrating = true;
   enc->migrate_hash = crypto::Sha256();
   enc->migrate_pages = 0;
@@ -78,7 +78,7 @@ Result<SgxHardware::MigratedPage> SgxHardware::eswpout(sim::ThreadCtx& ctx,
   size_t slot = slot_of(*enc, lin_addr);
   if (slot == kNotResident)
     return Error(ErrorCode::kNotFound, "ESWPOUT: page not resident");
-  ctx.work_atomic(cost_->ewb_ns_per_page);
+  ctx.work_atomic(ctx.cost().ewb_ns_per_page);
 
   const EpcPage& page = epc_[slot];
   MigratedPage out;
@@ -109,7 +109,7 @@ Result<SgxHardware::MigratedSecs> SgxHardware::emigrate_export_secs(
   if (enc == nullptr) return Error(ErrorCode::kNotFound, "no enclave");
   if (!enc->migrating)
     return Error(ErrorCode::kFailedPrecondition, "SECS export before EMIGRATE");
-  ctx.work_atomic(cost_->ewb_ns_per_page);
+  ctx.work_atomic(ctx.cost().ewb_ns_per_page);
   Writer w;
   w.u64(enc->secs.base);
   w.u64(enc->secs.size);
@@ -145,7 +145,7 @@ Result<EnclaveId> SgxHardware::emigrate_import_secs(sim::ThreadCtx& ctx,
   if (!r.finish().ok())
     return Error(ErrorCode::kIntegrityViolation, "SECS import: malformed");
 
-  ctx.work_atomic(cost_->ecreate_ns);
+  ctx.work_atomic(ctx.cost().ecreate_ns);
   MIG_ASSIGN_OR_RETURN(size_t slot, alloc_slot());
   Enclave& enc = add_enclave(slot);
   enc.secs.base = base;
@@ -184,7 +184,7 @@ Status SgxHardware::eswpin(sim::ThreadCtx& ctx, EnclaveId eid,
       off % kPageSize != 0)
     return Error(ErrorCode::kInvalidArgument, "ESWPIN: address outside enclave");
 
-  ctx.work_atomic(cost_->eldb_ns_per_page);
+  ctx.work_atomic(ctx.cost().eldb_ns_per_page);
   MIG_ASSIGN_OR_RETURN(size_t slot, alloc_slot());
   Bytes payload = page.ciphertext;
   crypto::chacha20_xor(migration_enc_key_, mig_nonce(page.lin_addr), 0, payload);
@@ -208,7 +208,7 @@ Result<std::pair<crypto::Digest, uint64_t>> SgxHardware::emigrate_state_hash(
   if (enc == nullptr) return Error(ErrorCode::kNotFound, "no enclave");
   if (!enc->migrating)
     return Error(ErrorCode::kFailedPrecondition, "state hash before EMIGRATE");
-  ctx.work_atomic(cost_->ereport_ns);
+  ctx.work_atomic(ctx.cost().ereport_ns);
   crypto::Sha256 h = enc->migrate_hash;
   return std::make_pair(h.finish(), enc->migrate_pages);
 }
@@ -221,7 +221,7 @@ Status SgxHardware::emigratedone(sim::ThreadCtx& ctx, EnclaveId eid,
   if (enc == nullptr) return Error(ErrorCode::kNotFound, "no enclave");
   if (!enc->migrating)
     return Error(ErrorCode::kFailedPrecondition, "EMIGRATEDONE on live enclave");
-  ctx.work_atomic(cost_->einit_ns);
+  ctx.work_atomic(ctx.cost().einit_ns);
   crypto::Sha256 h = enc->import_hash;
   crypto::Digest got = h.finish();
   if (enc->import_pages != expected_pages ||

@@ -107,7 +107,8 @@ struct CostModel {
   uint64_t delta_scan_ns_per_page_x100 = 2'000;  // 20 ns/page
 };
 
-// The default model used everywhere unless a test overrides a copy.
+// The model an Executor charges when it is built without one. A World hands
+// its own model to its executor; no simulator layer reads this directly.
 inline const CostModel& default_cost_model() {
   static const CostModel model{};
   return model;

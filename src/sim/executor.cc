@@ -205,6 +205,7 @@ void ThreadCtx::work_atomic(uint64_t ns) {
 void ThreadCtx::sleep(uint64_t ns) { executor_->thread_sleep(executor_->get(id_), ns); }
 void ThreadCtx::yield() { executor_->thread_yield(executor_->get(id_)); }
 uint64_t ThreadCtx::now() const { return executor_->get(id_).vtime; }
+const CostModel& ThreadCtx::cost() const { return executor_->cost(); }
 
 // -------------------------------------------------------------------- Event
 
@@ -223,10 +224,11 @@ void Event::set(ThreadCtx& ctx) {
 
 // ----------------------------------------------------------------- Executor
 
-Executor::Executor(int num_cpus, uint64_t quantum_ns)
+Executor::Executor(int num_cpus, uint64_t quantum_ns, const CostModel& cost)
     : scheduler_(std::make_unique<Fiber>()),
       cpu_free_(static_cast<size_t>(num_cpus), 0),
-      quantum_ns_(quantum_ns) {
+      quantum_ns_(quantum_ns),
+      cost_(cost) {
   MIG_CHECK(num_cpus >= 1);
   MIG_CHECK(quantum_ns >= 1);
 }

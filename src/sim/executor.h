@@ -20,6 +20,11 @@
 //    so contention — e.g. 8 enclaves x 3 threads on 4 VCPUs in Fig. 9(c) —
 //    emerges naturally and benches read elapsed virtual time, not wall time.
 //
+//  * Prices: the executor keeps a copy of the CostModel it is built with
+//    (the World's, or the default model), and ctx.cost() reads it. It is
+//    the one price list of its simulation: every layer charges from it, so
+//    a World built from another model runs on that model alone.
+//
 //  * Preemption: long work() bursts are split at a timer quantum, and each
 //    boundary is a scheduling point, so one long burst cannot hold a CPU
 //    while other threads wait. AEX (asynchronous enclave exit) is not
@@ -41,6 +46,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/cost_model.h"
 #include "util/check.h"
 
 namespace mig::sim {
@@ -77,6 +83,9 @@ class ThreadCtx {
 
   // This thread's virtual clock, in ns.
   uint64_t now() const;
+
+  // The price list of this thread's executor: every charge reads it.
+  const CostModel& cost() const;
 
   ThreadId id() const { return id_; }
   const std::string& name() const { return name_; }
@@ -146,9 +155,13 @@ struct ExecutorStats {
 
 class Executor {
  public:
+  static constexpr uint64_t kDefaultQuantumNs = 100'000;
+
   // `num_cpus` — model CPUs available for work() bursts (the paper's guest
-  // has 4 VCPUs). `quantum_ns` — timer quantum for preemption.
-  explicit Executor(int num_cpus, uint64_t quantum_ns = 100'000);
+  // has 4 VCPUs). `quantum_ns` — timer quantum for preemption. `cost` — the
+  // price list of every charge on this executor, kept as a copy.
+  explicit Executor(int num_cpus, uint64_t quantum_ns = kDefaultQuantumNs,
+                    const CostModel& cost = default_cost_model());
   ~Executor();
 
   Executor(const Executor&) = delete;
@@ -189,6 +202,7 @@ class Executor {
 
   int num_cpus() const { return static_cast<int>(cpu_free_.size()); }
   uint64_t quantum_ns() const { return quantum_ns_; }
+  const CostModel& cost() const { return cost_; }
   const ExecutorStats& stats() const { return stats_; }
 
   // Kills all live threads and runs each to the end of its unwinding; a
@@ -279,6 +293,7 @@ class Executor {
   std::vector<std::unique_ptr<SimThread>> threads_;
   std::vector<uint64_t> cpu_free_;
   uint64_t quantum_ns_;
+  const CostModel cost_;
   uint64_t sched_now_ = 0;
   uint64_t deadline_ = 0;  // of the run_until() in progress
   ThreadId next_id_ = 1;

@@ -153,12 +153,12 @@ void Pipe::send_sized(ThreadCtx& sender, Bytes message, uint64_t virtual_bytes) 
     // Serialization on the link: transmission starts when both the sender is
     // ready and the link has drained the previous message.
     uint64_t tx_start = std::max(sender.now(), link_free_ns_);
-    uint64_t rate_x100 =
-        rate_override_x100_ ? rate_override_x100_ : cost_->net_ns_per_byte_x100;
+    uint64_t rate_x100 = rate_override_x100_;
+    if (rate_x100 == 0) rate_x100 = sender.cost().net_ns_per_byte_x100;
     tx_end = tx_start + per_byte_x100(rate_x100, size);
     link_free_ns_ = tx_end;
   }
-  uint64_t arrival = tx_end + cost_->net_latency_ns + fd.extra_delay_ns;
+  uint64_t arrival = tx_end + sender.cost().net_latency_ns + fd.extra_delay_ns;
   bytes_sent_ += size;
   ++messages_sent_;
   if (obs::enabled()) {

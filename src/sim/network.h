@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/cost_model.h"
 #include "sim/executor.h"
 #include "util/bytes.h"
 
@@ -96,8 +95,7 @@ class SharedLink {
 // One direction of a duplex link.
 class Pipe {
  public:
-  Pipe(Executor& executor, const CostModel& cost)
-      : cost_(&cost), event_(executor) {}
+  explicit Pipe(Executor& executor) : event_(executor) {}
 
   void send(ThreadCtx& sender, Bytes message);
 
@@ -185,7 +183,6 @@ class Pipe {
     Bytes payload;
   };
 
-  const CostModel* cost_;
   Event event_;
   std::deque<InFlight> queue_;
   Tap tap_;
@@ -204,8 +201,7 @@ class Pipe {
 // Duplex channel: a/b endpoints. Endpoint A sends on ab_ and receives on ba_.
 class Channel {
  public:
-  Channel(Executor& executor, const CostModel& cost)
-      : ab_(executor, cost), ba_(executor, cost) {}
+  explicit Channel(Executor& executor) : ab_(executor), ba_(executor) {}
 
   // Endpoint views.
   class End {

@@ -157,8 +157,7 @@ void CounterService::serve_one(sim::ThreadCtx& ctx, sim::Channel::End end) {
   obs::instant(ctx, "store.counter.granted", "store",
                {{"verb", verb}, {"counter", out.counter}});
 
-  ctx.work(sim::default_cost_model().dh_keygen_ns +
-           sim::default_cost_model().dh_shared_ns);
+  ctx.work(ctx.cost().dh_keygen_ns + ctx.cost().dh_shared_ns);
   crypto::DhKeyPair kp = crypto::dh_generate(rng_);
   auto session =
       crypto::dh_session_key("ctr-channel", kp.priv, dh_pub_e, dh_pub_e);
@@ -179,7 +178,7 @@ void CounterService::serve_one(sim::ThreadCtx& ctx, sim::Channel::End end) {
   transcript.bytes(dh_pub_e);
   transcript.bytes(dh_pub_s);
   transcript.bytes(enc_key);
-  ctx.work(sim::default_cost_model().sig_sign_ns);
+  ctx.work(ctx.cost().sig_sign_ns);
   Bytes sig = crypto::sig_sign(sig_.sk, transcript.data(), rng_);
 
   Writer w;

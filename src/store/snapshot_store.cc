@@ -18,22 +18,22 @@ Result<Bytes> SealedSnapshotStore::put(sim::ThreadCtx& ctx, ByteSpan blob) {
     return Error(ErrorCode::kUnavailable, "snapshot store unavailable");
   obs::Span<sim::ThreadCtx> span(ctx, "store.put", "store",
                                  {{"bytes", blob.size()}});
-  ctx.work(cost_->disk_seek_ns);
+  ctx.work(ctx.cost().disk_seek_ns);
   if (torn_next_put_) {
     // Crash mid-write: some bytes hit the platter, the commit never did.
     // Nothing becomes visible (hash-then-publish), the caller sees an error.
     torn_next_put_ = false;
     torn_writes_ += 1;
-    ctx.work(sim::per_byte_x100(cost_->disk_write_ns_per_byte_x100,
+    ctx.work(sim::per_byte_x100(ctx.cost().disk_write_ns_per_byte_x100,
                                 blob.size() / 2));
     obs::instant(ctx, "store.torn_write", "store", {{"bytes", blob.size()}});
     obs::metrics().add("store.torn_writes");
     return Error(ErrorCode::kUnavailable,
                  "torn write: snapshot object not committed");
   }
-  ctx.work(sim::per_byte_x100(cost_->disk_write_ns_per_byte_x100,
+  ctx.work(sim::per_byte_x100(ctx.cost().disk_write_ns_per_byte_x100,
                               blob.size()) +
-           cost_->disk_sync_ns);
+           ctx.cost().disk_sync_ns);
   Bytes id = content_id(blob);
   objects_[id] = Bytes(blob.begin(), blob.end());
   obs::metrics().add("store.puts");
@@ -47,11 +47,11 @@ Result<Bytes> SealedSnapshotStore::get(sim::ThreadCtx& ctx, ByteSpan id) {
   if (!available_)
     return Error(ErrorCode::kUnavailable, "snapshot store unavailable");
   obs::Span<sim::ThreadCtx> span(ctx, "store.get", "store");
-  ctx.work(cost_->disk_seek_ns);
+  ctx.work(ctx.cost().disk_seek_ns);
   auto it = objects_.find(Bytes(id.begin(), id.end()));
   if (it == objects_.end())
     return Error(ErrorCode::kNotFound, "no snapshot object with that id");
-  ctx.work(sim::per_byte_x100(cost_->disk_read_ns_per_byte_x100,
+  ctx.work(sim::per_byte_x100(ctx.cost().disk_read_ns_per_byte_x100,
                               it->second.size()));
   obs::metrics().add("store.gets");
   obs::metrics().add("store.bytes_read", it->second.size());
@@ -65,7 +65,7 @@ Status SealedSnapshotStore::set_head(sim::ThreadCtx& ctx, ByteSpan mrenclave,
   if (!contains(id))
     return Error(ErrorCode::kFailedPrecondition,
                  "head must point at a committed object");
-  ctx.work(cost_->disk_sync_ns);
+  ctx.work(ctx.cost().disk_sync_ns);
   heads_[Bytes(mrenclave.begin(), mrenclave.end())].push_back(
       Bytes(id.begin(), id.end()));
   return OkStatus();
@@ -75,7 +75,7 @@ Result<Bytes> SealedSnapshotStore::head(sim::ThreadCtx& ctx,
                                         ByteSpan mrenclave) {
   if (!available_)
     return Error(ErrorCode::kUnavailable, "snapshot store unavailable");
-  ctx.work(cost_->disk_seek_ns);
+  ctx.work(ctx.cost().disk_seek_ns);
   auto it = heads_.find(Bytes(mrenclave.begin(), mrenclave.end()));
   if (it == heads_.end() || it->second.empty())
     return Error(ErrorCode::kNotFound, "no snapshot head for this identity");

@@ -21,15 +21,15 @@
 // per-identity "head" pointer tracks the latest snapshot for crash recovery
 // (a recovering host knows only the identity, not the last id).
 //
-// Costs are charged against the sim cost model's disk section (seek + per-
-// byte transfer + sync), so benches can sweep snapshot sizes meaningfully.
+// Costs are charged against the executor's cost model's disk section (seek +
+// per-byte transfer + sync), so benches can sweep snapshot sizes
+// meaningfully.
 #pragma once
 
 #include <cstddef>
 #include <map>
 #include <vector>
 
-#include "sim/cost_model.h"
 #include "sim/executor.h"
 #include "util/bytes.h"
 #include "util/status.h"
@@ -38,10 +38,6 @@ namespace mig::store {
 
 class SealedSnapshotStore {
  public:
-  explicit SealedSnapshotStore(
-      const sim::CostModel& cost = sim::default_cost_model())
-      : cost_(&cost) {}
-
   // Durably writes `blob`, returning its content id (SHA-256). Atomic: a
   // torn write publishes nothing and returns an error.
   Result<Bytes> put(sim::ThreadCtx& ctx, ByteSpan blob);
@@ -63,7 +59,6 @@ class SealedSnapshotStore {
   uint64_t torn_writes() const { return torn_writes_; }
 
  private:
-  const sim::CostModel* cost_;
   std::map<Bytes, Bytes> objects_;  // content id -> sealed envelope
   // Head history per identity; back() is current. History (not just the
   // latest) so the stale-read fault can serve the genuinely previous head.

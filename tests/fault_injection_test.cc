@@ -53,7 +53,7 @@ EngineRun run_engine(const std::function<void(sim::Channel&)>& inject) {
   if (inject) inject(*channel);
   hv::VmConfig cfg;
   cfg.memory_mb = 64;  // round 0 is ~29 MB => ~0.9 s of virtual wire time
-  hv::LiveMigrationEngine engine(world.cost(), hv::MigrationParams{});
+  hv::LiveMigrationEngine engine(hv::MigrationParams{});
   EngineRun out;
   world.executor().spawn("src", [&](sim::ThreadCtx& c) {
     hv::Vm vm(cfg, hv::DirtyModel{});
@@ -154,7 +154,7 @@ TEST(FaultEngine, MalformedRawFramesAreRejectedNotInterpreted) {
     world.add_machine("src");
     world.add_machine("dst");
     auto channel = world.make_channel();
-    hv::LiveMigrationEngine engine(world.cost(), hv::MigrationParams{});
+    hv::LiveMigrationEngine engine(hv::MigrationParams{});
     Result<hv::MigrationReport> target = Error(ErrorCode::kInternal, "unset");
     world.executor().spawn("dst", [&](sim::ThreadCtx& c) {
       hv::Vm vm(hv::VmConfig{}, hv::DirtyModel{});

@@ -103,7 +103,7 @@ EngineRun run_engine(const std::function<void(sim::Channel&)>& inject) {
   if (inject) inject(*channel);
   hv::VmConfig cfg;
   cfg.memory_mb = 64;
-  hv::LiveMigrationEngine engine(world.cost(), hv::MigrationParams{});
+  hv::LiveMigrationEngine engine(hv::MigrationParams{});
   EngineRun out;
   world.executor().spawn("src", [&](sim::ThreadCtx& c) {
     hv::Vm vm(cfg, hv::DirtyModel{});

@@ -14,7 +14,7 @@ TEST(LiveMigration, PlainVmMigratesWithPaperLikeNumbers) {
   Vm src(VmConfig{}, DirtyModel{});
   Vm dst(VmConfig{}, DirtyModel{});
   dst.set_running(false);
-  LiveMigrationEngine engine(world.cost(), MigrationParams{});
+  LiveMigrationEngine engine(MigrationParams{});
 
   Result<MigrationReport> src_report = Error(ErrorCode::kInternal, "unset");
   world.executor().spawn("qemu-src", [&](sim::ThreadCtx& ctx) {
@@ -50,7 +50,7 @@ TEST(LiveMigration, HigherDirtyRateMeansMoreRoundsAndTraffic) {
     dm.pages_per_sec = pages_per_sec;
     Vm src(VmConfig{}, dm);
     Vm dst(VmConfig{}, dm);
-    LiveMigrationEngine engine(world.cost(), MigrationParams{});
+    LiveMigrationEngine engine(MigrationParams{});
     Result<MigrationReport> report = Error(ErrorCode::kInternal, "unset");
     world.executor().spawn("src", [&](sim::ThreadCtx& ctx) {
       report = engine.migrate_source(ctx, src, channel->a());
@@ -78,7 +78,7 @@ TEST(LiveMigration, NonConvergentGuestStillStopsAfterMaxRounds) {
   Vm dst(VmConfig{}, dm);
   MigrationParams params;
   params.max_rounds = 5;
-  LiveMigrationEngine engine(world.cost(), params);
+  LiveMigrationEngine engine(params);
   Result<MigrationReport> report = Error(ErrorCode::kInternal, "unset");
   world.executor().spawn("src", [&](sim::ThreadCtx& ctx) {
     report = engine.migrate_source(ctx, src, channel->a());

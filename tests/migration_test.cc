@@ -3,6 +3,7 @@
 // restore), the agent optimization, owner provisioning, and cancellation.
 #include <gtest/gtest.h>
 
+#include "crypto/aead.h"
 #include "guestos/guest_os.h"
 #include "hv/machine.h"
 #include "migration/owner.h"
@@ -70,8 +71,9 @@ struct MigrationBed {
   crypto::SigKeyPair dev_signer;
   EnclaveOwner owner;
 
-  MigrationBed()
-      : world(4),
+  explicit MigrationBed(
+      const sim::CostModel& cost = sim::default_cost_model())
+      : world(4, 0x5109, cost),
         source(&world.add_machine("source")),
         target(&world.add_machine("target")),
         vm(hv::VmConfig{}, hv::DirtyModel{}),
@@ -166,6 +168,41 @@ TEST(EnclaveMigration, StateSurvivesMachineSwitch) {
     // The source enclave is gone (EPC reclaimed after self-destroy).
     EXPECT_FALSE(bed.source->hw().enclave_exists(source_eid));
   });
+}
+
+// A v1 checkpoint is sealed at the World's RC4 price: in a World whose RC4
+// costs 7 ns/B more, the same prepare takes 7 ns longer per sealed byte of
+// plaintext, and nothing else in it moves.
+TEST(EnclaveMigration, V1PrepareChargesTheWorldsCipherPrice) {
+  auto prepare = [](const sim::CostModel& cost, size_t& blob_bytes) {
+    MigrationBed bed(cost);
+    auto host = bed.make_host();
+    uint64_t elapsed = 0;
+    bed.run([&](sim::ThreadCtx& ctx) {
+      ASSERT_TRUE(host->create(ctx).ok());
+      bed.provision(ctx, *host);
+      EnclaveMigrator migrator(bed.world);
+      EnclaveMigrateOptions opts;
+      opts.chunk_bytes = 0;  // v1: one seal() over the whole plaintext
+      uint64_t t0 = ctx.now();
+      auto ckpt = migrator.prepare(ctx, *host, opts);
+      ASSERT_TRUE(ckpt.ok()) << ckpt.status().to_string();
+      elapsed = ctx.now() - t0;
+      blob_bytes = ckpt->size();
+    });
+    return elapsed;
+  };
+  sim::CostModel slow_rc4;
+  slow_rc4.rc4_ns_per_byte += 7;
+  size_t blob = 0;
+  size_t slow_blob = 0;
+  const uint64_t base_ns = prepare(sim::CostModel{}, blob);
+  const uint64_t slow_ns = prepare(slow_rc4, slow_blob);
+  ASSERT_EQ(blob, slow_blob);
+  // seal() frames the plaintext with a fixed header, hash and tag.
+  const size_t framing =
+      crypto::seal(crypto::CipherAlg::kRc4, Bytes(32, 0), {}).size();
+  EXPECT_EQ(slow_ns - base_ns, 7 * (blob - framing));
 }
 
 // A worker mid-ecall when migration hits: parks on the source, resumes on

@@ -469,7 +469,7 @@ TEST(ObsFaults, InjectedFaultsAppearAsTraceEventsWithMatchingCounters) {
 
   hv::VmConfig cfg;
   cfg.memory_mb = 64;
-  hv::LiveMigrationEngine engine(world.cost(), hv::MigrationParams{});
+  hv::LiveMigrationEngine engine(hv::MigrationParams{});
   Result<hv::MigrationReport> report = Error(ErrorCode::kInternal, "unset");
   world.executor().spawn("src", [&](sim::ThreadCtx& c) {
     hv::Vm vm(cfg, hv::DirtyModel{});
@@ -505,7 +505,7 @@ TEST(ObsFaults, CorruptionAndSeverAreDistinguished) {
     plan.install(channel->a_to_b());
     hv::VmConfig cfg;
     cfg.memory_mb = 64;
-    hv::LiveMigrationEngine engine(world.cost(), hv::MigrationParams{});
+    hv::LiveMigrationEngine engine(hv::MigrationParams{});
     world.executor().spawn("src", [&](sim::ThreadCtx& c) {
       hv::Vm vm(cfg, hv::DirtyModel{});
       (void)engine.migrate_source(c, vm, channel->a());

@@ -25,6 +25,8 @@
 #include "migration/owner.h"
 #include "migration/session.h"
 #include "obs/flight_recorder.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "quorum/quorum.h"
 #include "sdk/builder.h"
 #include "sdk/chunk_wire.h"
@@ -68,7 +70,10 @@ std::shared_ptr<sdk::EnclaveProgram> make_prog() {
 // enclave image pins the membership set (config blob 4) instead of a single
 // service key.
 struct QuorumBed {
-  hv::World world{4};
+  explicit QuorumBed(const sim::CostModel& cost = sim::default_cost_model())
+      : world(4, 0x5109, cost) {}
+
+  hv::World world;
   hv::Machine* source = &world.add_machine("src");
   hv::Machine* target = &world.add_machine("dst");
   hv::Vm vm{hv::VmConfig{}, hv::DirtyModel{}};
@@ -232,6 +237,29 @@ TEST(QuorumColdMigration, DeterministicUnderIdenticalSeeds) {
   EXPECT_EQ(a.sum, b.sum);
   EXPECT_EQ(a.counters, b.counters);
   EXPECT_EQ(a.end_ns, b.end_ns);
+}
+
+// The replica links are the World's: in a World with a 10 ms LAN, no
+// message of a quorum-backed snapshot, the replicas' included, arrives
+// sooner than 10 ms after it was sent.
+TEST(QuorumColdMigration, ReplicaLinksChargeTheWorldsLatency) {
+  sim::CostModel slow_lan;
+  slow_lan.net_latency_ns = 10'000'000;
+  QuorumBed bed(slow_lan);
+  auto host = bed.make_host(2);
+  obs::ScopedObservation capture;
+  bed.world.executor().spawn("test", [&](sim::ThreadCtx& ctx) {
+    ASSERT_TRUE(host->create(ctx).ok());
+    bed.provision(ctx, *host);
+    auto id = bed.migrator.snapshot_to_store(ctx, *host, bed.snapshots,
+                                             bed.opts());
+    ASSERT_TRUE(id.ok()) << id.status().to_string();
+  });
+  EXPECT_TRUE(bed.world.executor().run());
+  obs::MetricsRegistry::Histogram delivery =
+      obs::metrics().histogram("net.delivery_ns");
+  ASSERT_GT(delivery.count, 0u);
+  EXPECT_GE(delivery.min, slow_lan.net_latency_ns);
 }
 
 // ---- fault tolerance: f of 2f+1 may fail ------------------------------------

@@ -25,7 +25,7 @@ constexpr uint64_t kBase = 0x10000000;
 
 struct EdgeBed {
   sim::Executor exec{2};
-  SgxHardware hw{exec, sim::default_cost_model(), Drbg(to_bytes("seed")),
+  SgxHardware hw{exec, Drbg(to_bytes("seed")),
                  HardwareConfig{.machine_name = "m", .epc_pages = 64,
                                 .migration_ext = true}};
   void run(std::function<void(sim::ThreadCtx&)> fn) {
@@ -176,7 +176,7 @@ TEST(SgxEdge, VaSlotLifecycle) {
 
 TEST(SgxEdge, SmallEpcFillsRefusesAndFreesByPageCount) {
   sim::Executor exec(1);
-  SgxHardware hw(exec, sim::default_cost_model(), Drbg(to_bytes("seed")),
+  SgxHardware hw(exec, Drbg(to_bytes("seed")),
                  HardwareConfig{.machine_name = "small", .epc_pages = 6});
   EXPECT_EQ(hw.total_epc_pages(), 6u);
   EXPECT_EQ(hw.free_epc_pages(), 6u);
@@ -216,9 +216,9 @@ TEST(SgxEdge, ReportMacDoesNotVerifyOnAnotherMachine) {
   // Local attestation is machine-local: a report produced on machine A is
   // garbage to machine B's quoting enclave.
   sim::Executor exec(2);
-  SgxHardware hw_a(exec, sim::default_cost_model(), Drbg(to_bytes("a")),
+  SgxHardware hw_a(exec, Drbg(to_bytes("a")),
                    HardwareConfig{.machine_name = "a", .epc_pages = 64});
-  SgxHardware hw_b(exec, sim::default_cost_model(), Drbg(to_bytes("b")),
+  SgxHardware hw_b(exec, Drbg(to_bytes("b")),
                    HardwareConfig{.machine_name = "b", .epc_pages = 64});
   QuotingEnclave qe_b(hw_b, Drbg(to_bytes("qb")));
   exec.spawn("t", [&](sim::ThreadCtx& ctx) {

@@ -37,7 +37,7 @@ class SgxHardwareTest : public ::testing::Test {
  protected:
   SgxHardwareTest()
       : exec_(4),
-        hw_(exec_, sim::default_cost_model(), Drbg(to_bytes("hw-seed")),
+        hw_(exec_, Drbg(to_bytes("hw-seed")),
             HardwareConfig{.machine_name = "m0", .epc_pages = 64,
                            .migration_ext = true}),
         signer_rng_(to_bytes("signer")),
@@ -330,7 +330,7 @@ TEST_F(SgxHardwareTest, EldbRejectsReplayTamperAndRollback) {
 TEST_F(SgxHardwareTest, EvictedPageCannotLoadOnAnotherMachine) {
   // The premise of the whole paper (Difference-1): an OS-made "checkpoint"
   // of enclave memory via EWB is cryptographically bound to one CPU.
-  SgxHardware other(exec_, sim::default_cost_model(), Drbg(to_bytes("hw2")),
+  SgxHardware other(exec_, Drbg(to_bytes("hw2")),
                     HardwareConfig{.machine_name = "m1", .epc_pages = 64});
   run([&](sim::ThreadCtx& ctx) {
     BuiltEnclave e = build_enclave(ctx, hw_);
@@ -450,7 +450,7 @@ TEST_F(SgxHardwareTest, QuotingEnclaveAndAttestationService) {
     EXPECT_FALSE(qe.quote(ctx, *rep_self).ok());
 
     // Quotes from unregistered platforms fail.
-    SgxHardware rogue(exec_, sim::default_cost_model(), Drbg(to_bytes("rg")),
+    SgxHardware rogue(exec_, Drbg(to_bytes("rg")),
                       HardwareConfig{.machine_name = "rogue", .epc_pages = 64});
     QuotingEnclave rogue_qe(rogue, Drbg(to_bytes("rq")));
     BuiltEnclave r = build_enclave(ctx, rogue);
@@ -487,7 +487,7 @@ TEST_F(SgxHardwareTest, QuoteSerializationRoundTrip) {
 // ---- §VII-B proposed instructions -----------------------------------------
 
 TEST_F(SgxHardwareTest, HardwareAssistedMigrationMovesEnclaveAcrossMachines) {
-  SgxHardware target(exec_, sim::default_cost_model(), Drbg(to_bytes("t")),
+  SgxHardware target(exec_, Drbg(to_bytes("t")),
                      HardwareConfig{.machine_name = "m1", .epc_pages = 64,
                                     .migration_ext = true});
   run([&](sim::ThreadCtx& ctx) {
@@ -543,7 +543,7 @@ TEST_F(SgxHardwareTest, HardwareAssistedMigrationMovesEnclaveAcrossMachines) {
 }
 
 TEST_F(SgxHardwareTest, EmigratedoneDetectsMissingOrTamperedPages) {
-  SgxHardware target(exec_, sim::default_cost_model(), Drbg(to_bytes("t")),
+  SgxHardware target(exec_, Drbg(to_bytes("t")),
                      HardwareConfig{.machine_name = "m1", .epc_pages = 64,
                                     .migration_ext = true});
   run([&](sim::ThreadCtx& ctx) {
@@ -576,7 +576,7 @@ TEST_F(SgxHardwareTest, EmigratedoneDetectsMissingOrTamperedPages) {
 }
 
 TEST_F(SgxHardwareTest, MigrationExtRequiresOptIn) {
-  SgxHardware vanilla(exec_, sim::default_cost_model(), Drbg(to_bytes("v")),
+  SgxHardware vanilla(exec_, Drbg(to_bytes("v")),
                       HardwareConfig{.machine_name = "v", .epc_pages = 64,
                                      .migration_ext = false});
   run([&](sim::ThreadCtx& ctx) {

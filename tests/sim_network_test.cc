@@ -11,7 +11,7 @@ namespace {
 
 TEST(Network, DeliveryChargesLatencyAndBandwidth) {
   Executor exec(2);
-  Channel ch(exec, default_cost_model());
+  Channel ch(exec);
   const CostModel& cm = default_cost_model();
   uint64_t recv_time = 0;
   Bytes payload(10'000, 0xab);
@@ -32,7 +32,7 @@ TEST(Network, DeliveryChargesLatencyAndBandwidth) {
 
 TEST(Network, MessagesArriveInOrder) {
   Executor exec(2);
-  Channel ch(exec, default_cost_model());
+  Channel ch(exec);
   std::vector<int> received;
   exec.spawn("sender", [&](ThreadCtx& ctx) {
     for (int i = 0; i < 5; ++i) {
@@ -49,7 +49,7 @@ TEST(Network, MessagesArriveInOrder) {
 
 TEST(Network, SendSizedChargesVirtualBytesWithoutMaterializing) {
   Executor exec(2);
-  Channel ch(exec, default_cost_model());
+  Channel ch(exec);
   uint64_t recv_time = 0;
   constexpr uint64_t kBulk = 100ull << 20;  // 100 MB, never allocated
   exec.spawn("sender", [&](ThreadCtx& ctx) {
@@ -68,7 +68,7 @@ TEST(Network, SendSizedChargesVirtualBytesWithoutMaterializing) {
 
 TEST(Network, BidirectionalTraffic) {
   Executor exec(2);
-  Channel ch(exec, default_cost_model());
+  Channel ch(exec);
   exec.spawn("a", [&](ThreadCtx& ctx) {
     ch.a().send(ctx, to_bytes("ping"));
     EXPECT_EQ(to_string(ch.a().recv(ctx)), "pong");
@@ -83,7 +83,7 @@ TEST(Network, BidirectionalTraffic) {
 
 TEST(Network, TapObservesAndCanTamper) {
   Executor exec(2);
-  Channel ch(exec, default_cost_model());
+  Channel ch(exec);
   int observed = 0;
   ch.a_to_b().set_tap([&](Bytes& m) {
     ++observed;
@@ -99,7 +99,7 @@ TEST(Network, TapObservesAndCanTamper) {
 
 TEST(Network, SeveredLinkDropsTrafficSilently) {
   Executor exec(2);
-  Channel ch(exec, default_cost_model());
+  Channel ch(exec);
   ch.a_to_b().sever();
   exec.spawn("a", [&](ThreadCtx& ctx) { ch.a().send(ctx, to_bytes("lost")); });
   bool got_any = false;
@@ -114,7 +114,7 @@ TEST(Network, SeveredLinkDropsTrafficSilently) {
 
 TEST(Network, TryRecvRespectsArrivalTime) {
   Executor exec(2);
-  Channel ch(exec, default_cost_model());
+  Channel ch(exec);
   exec.spawn("a", [&](ThreadCtx& ctx) { ch.a().send(ctx, to_bytes("x")); });
   exec.spawn("b", [&](ThreadCtx& ctx) {
     // At t=0 the message is still in flight.
@@ -129,7 +129,7 @@ TEST(Network, TryRecvRespectsArrivalTime) {
 
 TEST(NetworkDeadline, QuietLinkTimesOutAtExactlyTheDeadline) {
   Executor exec(2);
-  Channel ch(exec, default_cost_model());
+  Channel ch(exec);
   exec.spawn("b", [&](ThreadCtx& ctx) {
     auto m = ch.b().recv_deadline(ctx, 4'000'000);
     EXPECT_FALSE(m.has_value());
@@ -146,7 +146,7 @@ TEST(NetworkDeadline, MessageStillInFlightAtDeadlineIsNotDelivered) {
   // The message is queued but arrives after the receiver's deadline: the
   // receiver times out first; a later recv still gets the message.
   Executor exec(2);
-  Channel ch(exec, default_cost_model());
+  Channel ch(exec);
   Bytes big(1'000'000, 0x55);  // ~30 ms of wire time
   exec.spawn("a", [&](ThreadCtx& ctx) { ch.a().send(ctx, big); });
   exec.spawn("b", [&](ThreadCtx& ctx) {
@@ -162,7 +162,7 @@ TEST(NetworkDeadline, MessageStillInFlightAtDeadlineIsNotDelivered) {
 
 TEST(NetworkDeadline, ArrivalBeforeDeadlineDeliversNormally) {
   Executor exec(2);
-  Channel ch(exec, default_cost_model());
+  Channel ch(exec);
   exec.spawn("a", [&](ThreadCtx& ctx) { ch.a().send(ctx, to_bytes("hi")); });
   uint64_t got_at = 0;
   exec.spawn("b", [&](ThreadCtx& ctx) {
@@ -178,7 +178,7 @@ TEST(NetworkDeadline, ArrivalBeforeDeadlineDeliversNormally) {
 
 TEST(FaultPlan, DropsExactlyTheScriptedMessage) {
   Executor exec(2);
-  Channel ch(exec, default_cost_model());
+  Channel ch(exec);
   FaultPlan plan;
   plan.drop_message(2);
   plan.install(ch.a_to_b());
@@ -198,7 +198,7 @@ TEST(FaultPlan, DropsExactlyTheScriptedMessage) {
 
 TEST(FaultPlan, DelayAddsExactExtraLatency) {
   Executor exec(2);
-  Channel ch(exec, default_cost_model());
+  Channel ch(exec);
   FaultPlan plan;
   constexpr uint64_t kExtra = 7'000'000;
   plan.delay_message(1, kExtra);
@@ -218,7 +218,7 @@ TEST(FaultPlan, DelayAddsExactExtraLatency) {
 
 TEST(FaultPlan, CorruptFlipsOneByteAndTapStillSeesTheOriginalSendOrder) {
   Executor exec(2);
-  Channel ch(exec, default_cost_model());
+  Channel ch(exec);
   int tapped = 0;
   ch.a_to_b().set_tap([&](Bytes&) { ++tapped; });
   FaultPlan plan;
@@ -237,7 +237,7 @@ TEST(FaultPlan, CorruptFlipsOneByteAndTapStillSeesTheOriginalSendOrder) {
 
 TEST(FaultPlan, SeverAtMessageKillsTheLinkAndEverythingAfter) {
   Executor exec(2);
-  Channel ch(exec, default_cost_model());
+  Channel ch(exec);
   FaultPlan plan;
   plan.sever_at_message(2);
   plan.install(ch.a_to_b());
@@ -258,7 +258,7 @@ TEST(FaultPlan, SeverAtMessageKillsTheLinkAndEverythingAfter) {
 
 TEST(FaultPlan, PredicateRulesFireOnEveryMatch) {
   Executor exec(2);
-  Channel ch(exec, default_cost_model());
+  Channel ch(exec);
   FaultPlan plan;
   plan.drop_when([](const Bytes& m) { return !m.empty() && m[0] == 0xee; });
   plan.install(ch.a_to_b());
@@ -282,7 +282,7 @@ TEST(FaultPlan, TapSeesWhatTheNetworkAte) {
   // including ones the fault plan then drops — attack recorders must see
   // traffic the receiver never got.
   Executor exec(2);
-  Channel ch(exec, default_cost_model());
+  Channel ch(exec);
   int tapped = 0;
   ch.a_to_b().set_tap([&](Bytes&) { ++tapped; });
   FaultPlan plan;
@@ -302,7 +302,7 @@ TEST(FaultPlan, SeveredSendsChargeNoBandwidth) {
   // A huge send into a dead link must not serialize later traffic: after
   // repair, a small message flies at normal latency.
   Executor exec(2);
-  Channel ch(exec, default_cost_model());
+  Channel ch(exec);
   ch.a_to_b().sever();
   uint64_t got_at = 0;
   exec.spawn("a", [&](ThreadCtx& ctx) {
@@ -323,7 +323,7 @@ TEST(FaultPlan, SeveredSendsChargeNoBandwidth) {
 
 TEST(FaultPlan, OneWayPartitionLeavesReverseDirectionHealthy) {
   Executor exec(2);
-  Channel ch(exec, default_cost_model());
+  Channel ch(exec);
   FaultPlan plan;
   plan.sever_at_message(1);
   plan.install(ch.a_to_b());

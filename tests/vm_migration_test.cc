@@ -179,7 +179,7 @@ TEST(VmMigration, EnclavesAddMeasurableOverhead) {
     world.add_machine("dst");
     auto channel = world.make_channel();
     hv::Vm vm(hv::VmConfig{}, hv::DirtyModel{});
-    hv::LiveMigrationEngine engine(world.cost(), hv::MigrationParams{});
+    hv::LiveMigrationEngine engine(hv::MigrationParams{});
     Result<hv::MigrationReport> report = Error(ErrorCode::kInternal, "x");
     world.executor().spawn("src", [&](sim::ThreadCtx& c) {
       report = engine.migrate_source(c, vm, channel->a());
@@ -227,7 +227,7 @@ TEST(VmMigration, FinishedSessionLeavesNoHooksOnTheGuest) {
   config.memory_mb = 64;
   hv::Vm vm(config, hv::DirtyModel{});
   guestos::GuestOs guest(home, vm);
-  hv::LiveMigrationEngine bare(world.cost(), hv::MigrationParams{});
+  hv::LiveMigrationEngine bare(hv::MigrationParams{});
   auto channel = world.make_channel();
   Result<hv::MigrationReport> there = Error(ErrorCode::kInternal, "unset");
   Result<hv::MigrationReport> back = Error(ErrorCode::kInternal, "unset");

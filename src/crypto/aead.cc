@@ -110,6 +110,11 @@ uint64_t cipher_cost_ns(const sim::CostModel& cm, CipherAlg alg,
   return 0;
 }
 
+uint64_t open_cost_ns(const sim::CostModel& cm, ByteSpan sealed) {
+  if (sealed.empty()) return 0;
+  return cipher_cost_ns(cm, static_cast<CipherAlg>(sealed[0]), sealed.size());
+}
+
 namespace {
 
 // Shared by seal() and the batched chunk path: `inner` is caller-provided

@@ -36,6 +36,10 @@ const char* cipher_name(CipherAlg alg);
 // figure benches and the migration path charge identical prices.
 uint64_t cipher_cost_ns(const sim::CostModel& cm, CipherAlg alg, size_t bytes);
 
+// What opening `sealed`, a seal() output, costs: cipher_cost_ns at the cipher
+// its first byte names. A blob that names no cipher costs nothing.
+uint64_t open_cost_ns(const sim::CostModel& cm, ByteSpan sealed);
+
 // Seals `plaintext` under a 32-byte master key. Layout:
 //   u8 alg | u32 len | cipher( plaintext || sha256(plaintext) ) | hmac-tag(32)
 Bytes seal(CipherAlg alg, ByteSpan key32, ByteSpan plaintext);

@@ -112,9 +112,9 @@ constexpr uint64_t kPostcopyMinRounds = 2;
 // One-way wire time of a burst: transmission at the modeled link rate plus
 // propagation. Ack deadlines derive from this so failure detection scales
 // with the burst actually sent.
-uint64_t wire_ns(const sim::CostModel& cost, uint64_t bytes) {
-  return sim::per_byte_x100(cost.net_ns_per_byte_x100, bytes) +
-         cost.net_latency_ns;
+uint64_t wire_ns(const sim::ThreadCtx& ctx, uint64_t bytes) {
+  return sim::per_byte_x100(ctx.cost().net_ns_per_byte_x100, bytes) +
+         ctx.cost().net_latency_ns;
 }
 
 }  // namespace
@@ -174,8 +174,8 @@ Result<MigrationReport> LiveMigrationEngine::migrate_source(
     for (uint64_t attempt = 0;; ++attempt) {
       link.send_sized(ctx, msg(Tag::kRound, pages, extra), bytes);
       report.transferred_bytes += bytes;
-      Result<Parsed> p = recv_parsed(
-          ctx.now() + 2 * wire_ns(ctx.cost(), bytes) + kAckGraceNs);
+      Result<Parsed> p =
+          recv_parsed(ctx.now() + 2 * wire_ns(ctx, bytes) + kAckGraceNs);
       if (p.ok()) {
         if (p->tag == Tag::kRoundAck) return OkStatus();
         if (p->tag == Tag::kAbort)
@@ -403,8 +403,7 @@ Result<MigrationReport> LiveMigrationEngine::migrate_source(
 
   Result<Parsed> p = Error(ErrorCode::kInternal, "unset");
   for (;;) {
-    p = recv_parsed(ctx.now() + 2 * wire_ns(ctx.cost(), final_bytes) +
-                    kAckGraceNs);
+    p = recv_parsed(ctx.now() + 2 * wire_ns(ctx, final_bytes) + kAckGraceNs);
     // A retransmitted round earns a duplicate ack; drain stale kRoundAcks
     // rather than mistaking them for a protocol violation.
     if (p.ok() && p->tag == Tag::kRoundAck) continue;

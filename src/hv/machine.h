@@ -38,7 +38,6 @@ class Machine {
 
 class World {
  public:
-  // The executor keeps a copy of `cost`: every charge in this World reads it.
   explicit World(int cpus_per_machine = 4, uint64_t seed = 0x5109,
                  const sim::CostModel& cost = sim::default_cost_model());
 

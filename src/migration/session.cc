@@ -120,7 +120,6 @@ Status EnclaveMigrator::restore(
 
   sdk::ControlCmd restore_cmd;
   restore_cmd.type = sdk::ControlCmd::Type::kRestore;
-  restore_cmd.cipher = opts.cipher;
   restore_cmd.blob = std::move(checkpoint);
   restore_cmd.allow_postcopy = opts.post_copy;
 
@@ -319,7 +318,6 @@ Status EnclaveMigrator::restore_from_store(sim::ThreadCtx& ctx,
     sdk::ControlCmd cmd;
     cmd.type = sdk::ControlCmd::Type::kStoreRestore;
     cmd.channel = serve_counter(*opts.counter_service, "ctr-opengrant");
-    cmd.cipher = opts.cipher;
     cmd.blob = std::move(blob);
     sdk::ControlReply restored = host.mailbox().post(ctx, cmd);
     MIG_RETURN_IF_ERROR(restored.status);

@@ -31,6 +31,7 @@
 namespace mig::migration {
 
 struct EnclaveMigrateOptions {
+  // Chosen on the seal side only; restore reads it from the sealed record.
   crypto::CipherAlg cipher = crypto::CipherAlg::kRc4;
   sdk::AgentPort* agent = nullptr;  // when set, key flows via the agent
   // Attack-simulation knob: a malicious operator keeps the source enclave's

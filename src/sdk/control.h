@@ -116,6 +116,7 @@ struct ControlCmd {
   };
   Type type = Type::kShutdown;
   std::optional<sim::Channel::End> channel;  // network peer for this command
+  // Seal side only: restore commands read the cipher from the sealed record.
   crypto::CipherAlg cipher = crypto::CipherAlg::kRc4;
   Bytes blob;  // checkpoint in (restore paths)
   // §VII-A side-channel mitigation: pad the checkpoint so its size does not

@@ -417,8 +417,7 @@ Result<Bytes> open_chunked(ControlCore& c, ByteSpan blob, ByteSpan key) {
   Bytes plain;
   for (uint64_t i = 0; i < pc.sealed_chunks.size(); ++i) {
     const Bytes& sc = pc.sealed_chunks[i];
-    c.env.work(cost.chunk_setup_ns +
-               crypto::cipher_cost_ns(cost, pc.header.alg, sc.size()) +
+    c.env.work(cost.chunk_setup_ns + crypto::open_cost_ns(cost, sc) +
                sim::per_byte_x100(cost.sha256_ns_per_byte_x100, sc.size()));
     Result<Bytes> chunk = opener.open_chunk(i, sc);
     if (!chunk.ok())
@@ -451,8 +450,7 @@ ControlReply restore_with_key(ControlCore& c, ControlCmd& cmd, ByteSpan key) {
     if (is_chunked_checkpoint(cmd.blob)) {
       plain = open_chunked(c, cmd.blob, key);
     } else {
-      c.env.work(crypto::cipher_cost_ns(c.env.cost(), cmd.cipher,
-                                        cmd.blob.size()));
+      c.env.work(crypto::open_cost_ns(c.env.cost(), cmd.blob));
       plain = crypto::open(key, cmd.blob);
     }
     if (!plain.ok())

@@ -313,8 +313,7 @@ Result<Checkpoint> open_delta(
       crypto::Digest h{};
       switch (rec.kind) {
         case DeltaRecordKind::kData: {
-          c.env.work(crypto::cipher_cost_ns(cost, seg->alg,
-                                            rec.payload.size()) +
+          c.env.work(crypto::open_cost_ns(cost, rec.payload) +
                      sim::per_byte_x100(cost.sha256_ns_per_byte_x100,
                                         rec.payload.size()));
           auto opened = crypto::open(
@@ -385,8 +384,7 @@ Result<Checkpoint> open_delta(
   if (sealed_trailer.empty())
     return Error(ErrorCode::kIntegrityViolation,
                  "delta checkpoint: final segment carries no thread state");
-  c.env.work(crypto::cipher_cost_ns(cost, crypto::CipherAlg::kChaCha20,
-                                    sealed_trailer.size()));
+  c.env.work(crypto::open_cost_ns(cost, sealed_trailer));
   MIG_ASSIGN_OR_RETURN(
       Bytes workers_blob,
       crypto::open(crypto::delta_final_key(key), sealed_trailer));
@@ -526,7 +524,7 @@ ControlReply apply_pages(ControlCore& c, ControlCmd& cmd) {
                       std::to_string(rec.version) +
                       ", manifest promised " +
                       std::to_string(pit->second.version));
-    c.env.work(crypto::cipher_cost_ns(cost, cmd.cipher, rec.sealed.size()) +
+    c.env.work(crypto::open_cost_ns(cost, rec.sealed) +
                sim::per_byte_x100(cost.sha256_ns_per_byte_x100,
                                   rec.sealed.size()));
     auto opened = crypto::open(

@@ -101,7 +101,6 @@ void EnclaveEnv::track_write(uint64_t off, size_t n) {
   if (n == 0 || layout_->track_pages == 0) return;
   if (off >= layout_->track_off || off == kOffDeltaTracking) return;
   if (read_u64(kOffDeltaTracking) == 0) return;
-  const sim::CostModel& cm = cost();
   uint64_t first = off / sgx::kPageSize;
   uint64_t last = (off + n - 1) / sgx::kPageSize;
   for (uint64_t page = first; page <= last; ++page) {
@@ -113,7 +112,7 @@ void EnclaveEnv::track_write(uint64_t off, size_t n) {
     st = hw_->enclave_write(*ctx_, *core_, kEnclaveBase + slot,
                             store_word(r.u64() + 1));
     MIG_CHECK_MSG(st.ok(), "track write: " << st.to_string());
-    ctx_->work(cm.delta_track_write_ns);
+    ctx_->work(ctx_->cost().delta_track_write_ns);
   }
 }
 

@@ -200,8 +200,6 @@ class Executor {
   // recently scheduled slice. Monotone and deterministic.
   uint64_t sched_now() const { return sched_now_; }
 
-  int num_cpus() const { return static_cast<int>(cpu_free_.size()); }
-  uint64_t quantum_ns() const { return quantum_ns_; }
   const CostModel& cost() const { return cost_; }
   const ExecutorStats& stats() const { return stats_; }
 

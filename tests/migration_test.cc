@@ -205,6 +205,40 @@ TEST(EnclaveMigration, V1PrepareChargesTheWorldsCipherPrice) {
   EXPECT_EQ(slow_ns - base_ns, 7 * (blob - framing));
 }
 
+// Restore opens a v1 blob at the cipher its first byte names, whatever the
+// restore options say: an AES-NI checkpoint restored with RC4 options costs
+// what a restore with matching options does.
+TEST(EnclaveMigration, V1RestoreChargesTheCipherTheBlobNames) {
+  auto restore_ns = [](crypto::CipherAlg restore_cipher) {
+    MigrationBed bed;
+    auto host = bed.make_host();
+    uint64_t elapsed = 0;
+    bed.run([&](sim::ThreadCtx& ctx) {
+      ASSERT_TRUE(host->create(ctx).ok());
+      bed.provision(ctx, *host);
+      EnclaveMigrator migrator(bed.world);
+      EnclaveMigrateOptions opts;
+      opts.chunk_bytes = 0;
+      opts.cipher = crypto::CipherAlg::kAes128CbcNi;
+      auto ckpt = migrator.prepare(ctx, *host, opts);
+      ASSERT_TRUE(ckpt.ok()) << ckpt.status().to_string();
+      auto source_inst = host->detach_instance();
+      bed.guest.set_migration_target(*bed.target);
+      ASSERT_TRUE(bed.guest.resume_enclaves_after_migration(ctx).ok());
+      opts.cipher = restore_cipher;
+      uint64_t t0 = ctx.now();
+      Status st = migrator.restore(ctx, *host, *bed.source, source_inst,
+                                   std::move(*ckpt), opts);
+      ASSERT_TRUE(st.ok()) << st.to_string();
+      elapsed = ctx.now() - t0;
+    });
+    return elapsed;
+  };
+  const uint64_t matching = restore_ns(crypto::CipherAlg::kAes128CbcNi);
+  EXPECT_GT(matching, 0u);
+  EXPECT_EQ(restore_ns(crypto::CipherAlg::kRc4), matching);
+}
+
 // A worker mid-ecall when migration hits: parks on the source, resumes on
 // the target through the restored CSSA + SSA, and finishes with the right
 // answer. This exercises the whole §IV machinery end to end.

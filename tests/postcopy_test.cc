@@ -12,6 +12,7 @@
 
 #include "migration/page_service.h"
 #include "migration/session.h"
+#include "obs/trace.h"
 #include "sdk/chunk_wire.h"
 #include "store/counter_service.h"
 #include "store/snapshot_store.h"
@@ -75,8 +76,9 @@ struct PostcopyBed {
   store::CounterService counters;
   store::SealedSnapshotStore snapshots;
 
-  explicit PostcopyBed(uint64_t dirty_pages_per_sec = 1'600)
-      : world(4),
+  explicit PostcopyBed(uint64_t dirty_pages_per_sec = 1'600,
+                       const sim::CostModel& cost = sim::default_cost_model())
+      : world(4, 0x5109, cost),
         source(&world.add_machine("source")),
         target(&world.add_machine("target")),
         vm(hv::VmConfig{}, hv::DirtyModel{dirty_pages_per_sec, 40'000}),
@@ -138,6 +140,40 @@ uint64_t get_counter(sim::ThreadCtx& ctx, sdk::EnclaveHost& host) {
   return rd.u64();
 }
 
+// Each span named `name` in the current capture, closed: how long it lasted
+// and its `pages` argument (0 when it has none), in the order they closed.
+struct ClosedSpan {
+  uint64_t ns = 0;
+  uint64_t pages = 0;
+};
+std::vector<ClosedSpan> closed_spans(std::string_view name) {
+  std::map<uint32_t, std::vector<const obs::TraceRecorder::Event*>> open;
+  std::vector<ClosedSpan> out;
+  for (const obs::TraceRecorder::Event& e : obs::trace().events()) {
+    if (e.ph == 'B') open[e.tid].push_back(&e);
+    if (e.ph != 'E' || open[e.tid].empty()) continue;
+    const obs::TraceRecorder::Event* begin = open[e.tid].back();
+    open[e.tid].pop_back();
+    if (begin->name != name) continue;
+    ClosedSpan span{e.ts_ns - begin->ts_ns, 0};
+    for (const obs::Arg& a : e.args)
+      if (a.key == "pages") span.pages = a.u64;
+    out.push_back(span);
+  }
+  return out;
+}
+
+// What the target charges to apply one pulled page sealed with `alg`:
+// open it, hash it, write it back.
+uint64_t page_apply_ns(const sim::CostModel& cost, crypto::CipherAlg alg) {
+  const size_t sealed =
+      crypto::seal(alg, Bytes(32, 0), Bytes(sgx::kPageSize, 0)).size();
+  return crypto::cipher_cost_ns(cost, alg, sealed) +
+         sim::per_byte_x100(cost.sha256_ns_per_byte_x100, sealed) +
+         sim::per_byte_x100(cost.restore_write_ns_per_byte_x100,
+                            sgx::kPageSize);
+}
+
 // ---- enclave-level round trip ------------------------------------------------
 
 TEST(Postcopy, RoundTripPullsResidualTailOnDemand) {
@@ -184,6 +220,67 @@ TEST(Postcopy, RoundTripPullsResidualTailOnDemand) {
     EXPECT_EQ(get_counter(ctx, *host), 1330u);
     EXPECT_FALSE(bed.source->hw().enclave_exists(source_eid));
   });
+}
+
+// The target opens every record at the cipher its sealed bytes name. For a
+// post-copy restore sealed with RC4 and one sealed with ChaCha20, the
+// delta.apply span charges each data record and the thread-context trailer
+// at that cipher (plus the records' hashing), and each postcopy.apply span
+// charges its pulled pages at it.
+TEST(Postcopy, TargetOpensAtTheCipherTheRecordsName) {
+  for (crypto::CipherAlg alg :
+       {crypto::CipherAlg::kRc4, crypto::CipherAlg::kChaCha20}) {
+    SCOPED_TRACE(crypto::cipher_name(alg));
+    obs::ScopedObservation capture;
+    PostcopyBed bed;
+    auto host = bed.make_host();
+    const sim::CostModel& cost = bed.world.cost();
+    uint64_t delta_open_ns = 0;
+    bed.run([&](sim::ThreadCtx& ctx) {
+      ASSERT_TRUE(host->create(ctx).ok());
+      bed.provision(ctx, *host);
+      add(ctx, *host, 1000);
+      EnclaveMigrator migrator(bed.world);
+      EnclaveMigrateOptions opts;
+      opts.post_copy = true;
+      opts.cipher = alg;
+      std::vector<Bytes> segments;
+      auto base = migrator.dump_baseline(ctx, *host, opts);
+      ASSERT_TRUE(base.ok()) << base.status().to_string();
+      segments.push_back(std::move(base->segment));
+      add(ctx, *host, 30);
+      fill_heap(ctx, *host, 1, 0x5a);
+      auto fin = migrator.dump_delta(ctx, *host, opts, /*final_dump=*/true);
+      ASSERT_TRUE(fin.ok()) << fin.status().to_string();
+      segments.push_back(std::move(fin->segment));
+      for (const Bytes& wire : segments) {
+        auto seg = sdk::parse_delta_segment(wire);
+        ASSERT_TRUE(seg.ok());
+        for (const sdk::DeltaRecord& rec : seg->records) {
+          if (rec.kind != sdk::DeltaRecordKind::kData) continue;
+          delta_open_ns +=
+              crypto::cipher_cost_ns(cost, alg, rec.payload.size()) +
+              sim::per_byte_x100(cost.sha256_ns_per_byte_x100,
+                                 rec.payload.size());
+        }
+        delta_open_ns += crypto::cipher_cost_ns(cost, alg, seg->trailer.size());
+      }
+      auto source_inst = host->detach_instance();
+      bed.guest.set_migration_target(*bed.target);
+      ASSERT_TRUE(bed.guest.resume_enclaves_after_migration(ctx).ok());
+      Status st = migrator.restore(ctx, *host, *bed.source, source_inst,
+                                   sdk::encode_delta_container(segments),
+                                   opts);
+      ASSERT_TRUE(st.ok()) << st.to_string();
+    });
+    std::vector<ClosedSpan> delta = closed_spans("delta.apply");
+    ASSERT_EQ(delta.size(), 1u);
+    EXPECT_EQ(delta[0].ns, delta_open_ns);
+    std::vector<ClosedSpan> applies = closed_spans("postcopy.apply");
+    ASSERT_FALSE(applies.empty());
+    for (const ClosedSpan& a : applies)
+      EXPECT_EQ(a.ns, a.pages * page_apply_ns(cost, alg));
+  }
 }
 
 TEST(Postcopy, RemoteRecordsRefusedWhenPullDisabled) {
@@ -609,6 +706,66 @@ TEST(PostcopySession, HybridFlipsWhenPrecopyCannotConverge) {
   // The flip happened after the convergence detector had its signal, not
   // after all 30 default rounds were burned.
   EXPECT_LT(report->rounds, hv::MigrationParams{}.max_rounds);
+}
+
+// VM migrations sealed with RC4 and with ChaCha20, same seed, hybrid and
+// post-copy: repricing the cipher a run does not use moves none of its
+// virtual time, so nothing in it (the v3 trailer's open included) is charged
+// at that cipher, and the target charges each pulled page at the run's
+// cipher. Only the post-copy runs pull enclave pages: a hybrid flip comes
+// right after a delta round, so the enclave leaves no residual behind.
+TEST(PostcopySession, TargetChargesTheCipherTheSealedBytesName) {
+  auto migrate = [](bool hybrid, crypto::CipherAlg alg,
+                    const sim::CostModel& cost) {
+    obs::ScopedObservation capture;
+    PostcopyBed bed(/*dirty_pages_per_sec=*/20'000, cost);
+    auto host = bed.make_host();
+    Result<hv::MigrationReport> report = Error(ErrorCode::kInternal, "unset");
+    bed.run([&](sim::ThreadCtx& ctx) {
+      ASSERT_TRUE(host->create(ctx).ok());
+      bed.provision(ctx, *host);
+      bed.process->spawn_thread("pump", [&](sim::ThreadCtx& wctx) {
+        for (int i = 0; i < 2000; ++i) {
+          Writer w;
+          w.u64(1);
+          if (!host->ecall(wctx, 0, kEcallAdd, w.data()).ok()) break;
+          wctx.sleep(1'000'000);
+        }
+      });
+      VmMigrationSession::Options opts;
+      opts.hybrid = hybrid;
+      opts.post_copy = !hybrid;
+      opts.cipher = alg;
+      VmMigrationSession session(bed.world, bed.vm, bed.guest, *bed.source,
+                                 *bed.target, opts);
+      session.manage(*host);
+      ctx.sleep(10'000'000);
+      report = session.run(ctx);
+      ASSERT_TRUE(report.ok()) << report.status().to_string();
+    });
+    EXPECT_TRUE(report.ok() && report->postcopy_flipped == 1);
+    EXPECT_EQ(closed_spans("delta.apply").size(), 1u);
+    return std::make_pair(obs::trace().chrome_json(),
+                          closed_spans("postcopy.apply"));
+  };
+  const sim::CostModel cost;
+  for (bool hybrid : {true, false}) {
+    for (crypto::CipherAlg alg :
+         {crypto::CipherAlg::kRc4, crypto::CipherAlg::kChaCha20}) {
+      SCOPED_TRACE(std::string(hybrid ? "hybrid " : "post-copy ") +
+                   crypto::cipher_name(alg));
+      auto [trace, applies] = migrate(hybrid, alg, cost);
+      EXPECT_EQ(applies.empty(), hybrid);
+      for (const ClosedSpan& a : applies)
+        EXPECT_EQ(a.ns, a.pages * page_apply_ns(cost, alg));
+      sim::CostModel repriced = cost;
+      if (alg == crypto::CipherAlg::kRc4)
+        repriced.chacha20_ns_per_byte_x100 *= 4;
+      else
+        repriced.rc4_ns_per_byte *= 4;
+      EXPECT_EQ(migrate(hybrid, alg, repriced).first, trace);
+    }
+  }
 }
 
 // ---- property sweep ------------------------------------------------------------

@@ -712,8 +712,9 @@ TEST(PostcopySession, HybridFlipsWhenPrecopyCannotConverge) {
 // post-copy: repricing the cipher a run does not use moves none of its
 // virtual time, so nothing in it (the v3 trailer's open included) is charged
 // at that cipher, and the target charges each pulled page at the run's
-// cipher. Only the post-copy runs pull enclave pages: a hybrid flip comes
-// right after a delta round, so the enclave leaves no residual behind.
+// cipher. Only the post-copy runs are sure to pull enclave pages: a hybrid
+// flip comes right after a delta round, which leaves the enclave's tail
+// empty.
 TEST(PostcopySession, TargetChargesTheCipherTheSealedBytesName) {
   auto migrate = [](bool hybrid, crypto::CipherAlg alg,
                     const sim::CostModel& cost) {
@@ -755,7 +756,9 @@ TEST(PostcopySession, TargetChargesTheCipherTheSealedBytesName) {
       SCOPED_TRACE(std::string(hybrid ? "hybrid " : "post-copy ") +
                    crypto::cipher_name(alg));
       auto [trace, applies] = migrate(hybrid, alg, cost);
-      EXPECT_EQ(applies.empty(), hybrid);
+      if (!hybrid) {
+        EXPECT_FALSE(applies.empty());
+      }
       for (const ClosedSpan& a : applies)
         EXPECT_EQ(a.ns, a.pages * page_apply_ns(cost, alg));
       sim::CostModel repriced = cost;
